@@ -50,7 +50,6 @@ struct PerBenchmark {
   int64_t ColdSolverCalls = 0;
   int64_t ColdStorePuts = 0;
   int64_t WarmStoreHits = 0; // solver calls served from disk, not re-run
-  bool Resumed = false;
   bool Comparable = false; // neither pass timed out
   bool Mismatch = false;
 };
@@ -114,7 +113,6 @@ int main() {
       Row.ColdSolverCalls = Cold[I].Synthesis.Stats.SolverCalls;
       Row.ColdStorePuts = Cold[I].Synthesis.Stats.StorePuts;
       Row.WarmStoreHits = Warm[I].Synthesis.Stats.StoreHits;
-      Row.Resumed = Warm[I].Synthesis.Stats.StoreCheckpointLoaded != 0;
       Row.Comparable =
           !Cold[I].Synthesis.TimedOut && !Warm[I].Synthesis.TimedOut;
       if (Row.Comparable)
@@ -157,12 +155,11 @@ int main() {
     RecoveredRecords = S.RecordsRecovered;
   }
 
-  int AvoidedPositive = 0, Mismatches = 0, NotComparable = 0, Resumed = 0;
+  int AvoidedPositive = 0, Mismatches = 0, NotComparable = 0;
   for (const PerBenchmark &Row : Rows) {
     AvoidedPositive += Row.WarmStoreHits > 0;
     Mismatches += Row.Mismatch;
     NotComparable += !Row.Comparable;
-    Resumed += Row.Resumed;
   }
 
   std::cout << "\ncold " << TablePrinter::formatDouble(ColdWall, 2)
@@ -173,8 +170,7 @@ int main() {
             << "x); store " << StoreRecords << " record(s), " << StoreBytes
             << " bytes\n"
             << "warm solver work avoided on " << AvoidedPositive << "/"
-            << Rows.size() << " benchmark(s); " << Resumed
-            << " resumed from a checkpoint; " << Mismatches
+            << Rows.size() << " benchmark(s); " << Mismatches
             << " differential mismatch(es), " << NotComparable
             << " not comparable (timed out)\n"
             << "torn-tail recovery: "
@@ -197,7 +193,6 @@ int main() {
        << ",\n"
        << "  \"recovery_records_preserved\": " << RecoveredRecords << ",\n"
        << "  \"warm_avoided_positive\": " << AvoidedPositive << ",\n"
-       << "  \"warm_resumed_from_checkpoint\": " << Resumed << ",\n"
        << "  \"differential_mismatches\": " << Mismatches << ",\n"
        << "  \"differential_not_comparable\": " << NotComparable << ",\n"
        << "  \"benchmarks\": [\n";
@@ -207,7 +202,6 @@ int main() {
          << "\", \"cold_solver_calls\": " << R.ColdSolverCalls
          << ", \"cold_store_puts\": " << R.ColdStorePuts
          << ", \"warm_store_hits\": " << R.WarmStoreHits
-         << ", \"resumed\": " << (R.Resumed ? "true" : "false")
          << ", \"comparable\": " << (R.Comparable ? "true" : "false")
          << ", \"mismatch\": " << (R.Mismatch ? "true" : "false") << "}"
          << (I + 1 < Rows.size() ? "," : "") << "\n";

@@ -410,26 +410,13 @@ void StensoStore::flush() {
   STENSO_TRACE_SPAN("store", "flush");
 
   std::vector<Entry> Batch;
-  FlushHook HookCopy;
   {
     std::lock_guard<std::mutex> Lock(StateMutex);
     FlushScheduled = false;
     Batch.swap(Pending);
-    HookCopy = Hook;
   }
-  if (ReadOnlyMode || !DiskUsable || Degraded.load(std::memory_order_relaxed))
-    return;
-
-  // Ride the checkpoint record along with every durable batch.
-  if (HookCopy) {
-    auto [K, V] = HookCopy();
-    if (!K.empty()) {
-      std::lock_guard<std::mutex> Lock(StateMutex);
-      insertLocked(K, V);
-      Batch.push_back(Entry{std::move(K), std::move(V)});
-    }
-  }
-  if (Batch.empty())
+  if (ReadOnlyMode || !DiskUsable ||
+      Degraded.load(std::memory_order_relaxed) || Batch.empty())
     return;
 
   std::vector<uint8_t> Buf;
@@ -541,11 +528,6 @@ bool StensoStore::appendDurable(const std::vector<uint8_t> &Bytes) {
 void StensoStore::setAsyncExecutor(Executor E) {
   std::lock_guard<std::mutex> Lock(StateMutex);
   Async = std::move(E);
-}
-
-void StensoStore::setFlushHook(FlushHook H) {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  Hook = std::move(H);
 }
 
 StensoStore::Stats StensoStore::stats() const {

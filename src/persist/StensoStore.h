@@ -133,14 +133,6 @@ public:
   using Executor = std::function<void(std::function<void()>)>;
   void setAsyncExecutor(Executor E);
 
-  /// Called under the flush lock right before a batch is serialized; the
-  /// returned record is appended to the batch.  The synthesizer uses it
-  /// to ride a search checkpoint along with every cache flush.  An empty
-  /// key skips the append.
-  using FlushHook =
-      std::function<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>()>;
-  void setFlushHook(FlushHook H);
-
   Stats stats() const;
   const std::string &dir() const { return Opts.Dir; }
   /// Number of distinct keys currently resident (disk + pending).
@@ -173,7 +165,7 @@ private:
   std::atomic<bool> Degraded{false};
   std::atomic<int64_t> DiskBytes{0};
 
-  /// Guards Index, Pending, Async, Hook, FlushScheduled.
+  /// Guards Index, Pending, Async, FlushScheduled.
   mutable std::mutex StateMutex;
   std::unordered_map<uint64_t, std::vector<Entry>> Index;
   std::vector<Entry> Pending;
@@ -186,7 +178,6 @@ private:
   size_t ActiveBytes = 0;
   uint64_t NextSegment = 1;
   Executor Async;
-  FlushHook Hook;
   int ConsecutiveFlushFailures = 0;
 
   mutable std::mutex StatsMutex;

@@ -10,7 +10,6 @@
 #include "observe/Trace.h"
 #include "persist/ExprCodec.h"
 #include "persist/StensoStore.h"
-#include "persist/XXHash.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
 #include "symbolic/Linear.h"
@@ -198,9 +197,6 @@ Expected<SymTensor> HoleSolver::solve(const Sketch &Sk,
     } else {
       W.putU8(0);
     }
-    StoreDigest.fetch_xor(
-        persist::xxhash64(PersistKey.data(), PersistKey.size()),
-        std::memory_order_relaxed);
     StorePuts.fetch_add(1, std::memory_order_relaxed);
     Store->put(std::move(PersistKey), W.takeBytes());
   }

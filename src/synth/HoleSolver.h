@@ -86,6 +86,8 @@ public:
   int64_t getNumCalls() const {
     return Calls.load(std::memory_order_relaxed);
   }
+  /// Solves that missed the memo and found a hole spec (computed, or
+  /// served by the store): the distinct solutions of this solver.
   int64_t getNumSolved() const {
     return Solved.load(std::memory_order_relaxed);
   }
@@ -112,11 +114,6 @@ public:
   }
   int64_t getStorePuts() const {
     return StorePuts.load(std::memory_order_relaxed);
-  }
-  /// Order-independent digest (XOR of key hashes) of the records this
-  /// run contributed to the store.
-  uint64_t getStoreDigest() const {
-    return StoreDigest.load(std::memory_order_relaxed);
   }
 
   /// Cache bound: when a shard reaches this many memoized entries the
@@ -182,7 +179,6 @@ private:
   std::atomic<int64_t> StoreHits{0};
   std::atomic<int64_t> StoreRejected{0};
   std::atomic<int64_t> StorePuts{0};
-  std::atomic<uint64_t> StoreDigest{0};
 };
 
 } // namespace synth

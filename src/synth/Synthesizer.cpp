@@ -13,7 +13,6 @@
 #include "observe/Metrics.h"
 #include "observe/Progress.h"
 #include "observe/Trace.h"
-#include "persist/Checkpoint.h"
 #include "persist/StensoStore.h"
 #include "support/Budget.h"
 #include "support/FaultInjection.h"
@@ -165,7 +164,7 @@ public:
   /// one (workers must not allocate into a shared arena).  \p SharedBound
   /// non-null selects the parallel pruning discipline (see prunes()).
   /// \p Progress, when attached, mirrors every tightened incumbent cost
-  /// for checkpointing.  Observation-only: the search never reads it.
+  /// for the heartbeat.  Observation-only: the search never reads it.
   /// \p CostBound, when attached, enables the admissible static
   /// cost-bound prune (the caller only passes one when both
   /// UseBranchAndBound and UseCostBoundPruning are set).
@@ -184,6 +183,194 @@ public:
     double Cost = 0;
   };
 
+  /// What every branch of one dfs level shares: the spec, the level, the
+  /// concrete cost accumulated by enclosing sketches, and the spec-side
+  /// data the per-sketch filters read.  Read-only once built, so the
+  /// parallel engine's workers share the root frame.
+  struct Frame {
+    Frame(const SymTensor &Phi, int Level, double CostSoFar)
+        : Phi(Phi), Level(Level), CostSoFar(CostSoFar),
+          Complexity(specComplexity(Phi)), Tensors(tensorNamesOf(Phi)) {}
+    const SymTensor &Phi;
+    int Level;
+    double CostSoFar;
+    double Complexity;
+    std::unordered_set<std::string> Tensors;
+  };
+
+  /// Algorithm 2.  \p CostSoFar is the concrete cost accumulated by
+  /// enclosing sketches; \p CostMin is the branch-and-bound incumbent
+  /// (pass-by-reference as in the paper).
+  std::optional<Candidate> dfs(const SymTensor &Phi, int Level,
+                               double CostSoFar, double &CostMin) {
+    STENSO_TRACE_NAMED_SPAN(DfsSpan, "synth", "dfs");
+    DfsSpan.arg("depth", Level);
+    std::optional<Candidate> Best;
+    if (!enterLevel(Phi, Level, CostSoFar, CostMin, Best))
+      return Best;
+    Frame F(Phi, Level, CostSoFar);
+    std::optional<analysis::TensorAbstract> PhiSig;
+    for (const Sketch *Sk :
+         Library.getSketchesFor(Phi.getShape(), Phi.getDType()))
+      if (!branch(*Sk, F, CostMin, PhiSig, Best))
+        break;
+    return Best;
+  }
+
+  /// Algorithm 2's level prologue: the budget checkpoint, the cost-bound
+  /// entry check, and the stub match (lines 2-8), which seeds \p Best.
+  /// Returns whether the level's sketches are to be explored.
+  bool enterLevel(const SymTensor &Phi, int Level, double CostSoFar,
+                  double &CostMin, std::optional<Candidate> &Best) {
+    ++Stats.DfsCalls;
+    if (!Budget.checkpoint()) {
+      decide(-1, Level, bound(CostMin), Decision::BudgetStop);
+      return false;
+    }
+
+    // True branch-and-bound (DESIGN.md §14): a static lower bound on the
+    // cost of *every* well-typed completion of Phi.  When even that floor
+    // cannot beat the incumbent, nothing below this level can — not even
+    // the stub match, whose cost the floor under-approximates (so the
+    // tighten it would have applied is a no-op anyway).
+    if (CostBound &&
+        prunes(CostSoFar + CostBound->specLowerBound(Phi), CostMin)) {
+      ++Stats.PrunedByCostBound;
+      decide(-1, Level, bound(CostMin), Decision::PrunedCostBound);
+      return false;
+    }
+
+    // Base case (lines 2-8): a direct stub match.  The library keeps the
+    // cheapest stub per spec, so this is the argmin over matches.  Unlike
+    // the paper's pseudo-code we do not return early: the target spec can
+    // match a stub that *is* the original program (the original is
+    // re-derivable within the stub depth), while a cheaper decomposition
+    // through sketches still exists — diag(dot(A,B)) is the canonical
+    // case.  The match instead becomes the incumbent that sketch
+    // exploration must beat, which also tightens the global bound.
+    if (const Stub *Match = Library.findMatchingStub(Phi)) {
+      // A stub match is the degenerate solver query (an all-concrete
+      // sketch with no hole), so it shares the hole-solver fault site:
+      // under STENSO_FAULT=holesolver:... no candidate path survives.
+      RecoverableErrorScope FaultScope;
+      if (maybeInjectFault(FaultSite::HoleSolve)) {
+        (void)FaultScope.takeError();
+        ++Stats.PrunedByError;
+        decide(-1, Level, bound(CostMin), Decision::PrunedError);
+      } else {
+        Best = Candidate{Match->Root, Match->Cost};
+        decide(-1, Level, bound(CostMin), Decision::StubMatch, Match->Cost);
+        tighten(CostMin, CostSoFar + Match->Cost);
+      }
+    }
+    return Level < Config.MaxRecursionDepth;
+  }
+
+  /// One branch of Algorithm 2 (lines 10-22): sketch \p Sk against the
+  /// level \p F.  Runs the cost, cost-bound and oracle prunes, solves the
+  /// hole, applies the simplification prune, recurses into the hole's
+  /// spec, and substitutes the result into \p Best when it is cheaper;
+  /// every outcome is booked in the stats and the decision log.
+  /// \p PhiSig is the caller's oracle-signature cache for F.Phi (see
+  /// oracleRejects).  Returns false when the budget stopped the level.
+  bool branch(const Sketch &Sk, const Frame &F, double &CostMin,
+              std::optional<analysis::TensorAbstract> &PhiSig,
+              std::optional<Candidate> &Best) {
+    int32_t SkIdx = static_cast<int32_t>(Sk.Index);
+    auto Decide = [&](Decision O, double Cost = 0) {
+      decide(SkIdx, F.Level, bound(CostMin), O, Cost);
+    };
+    if (!Budget.checkpoint()) {
+      Decide(Decision::BudgetStop);
+      return false;
+    }
+    // A sketch whose concrete part mentions tensors absent from Phi
+    // could only match through cancellation; skip it.
+    if (!sketchTensorsSubset(Sk, F.Tensors))
+      return true;
+
+    // Branch-and-bound (line 16): the concrete part alone already
+    // forces the final program at or above the incumbent.
+    double CostWithSketch = F.CostSoFar + Sk.ConcreteCost;
+    if (Config.UseBranchAndBound && prunes(CostWithSketch, CostMin)) {
+      ++Stats.PrunedByCost;
+      Decide(Decision::PrunedCost);
+      return true;
+    }
+
+    // Cost-bound refinement of the check above: the hole still has to
+    // be completed.  Two admissible floors apply — the fixpoint floor
+    // over typed completions reachable at the remaining depth, and the
+    // obligation floor forcing the completion to supply every spec
+    // tensor the concrete part misses (DESIGN.md §14).
+    if (CostBound &&
+        prunes(CostWithSketch +
+                   std::max(CostBound->holeCompletionBound(
+                                Sk.HoleType,
+                                Config.MaxRecursionDepth - F.Level - 1),
+                            CostBound->holeObligationFloor(
+                                Sk.HoleType, F.Tensors, Sk.ConcreteTensors)),
+               CostMin)) {
+      ++Stats.PrunedByCostBound;
+      Decide(Decision::PrunedCostBound);
+      return true;
+    }
+
+    // Static oracle: provably-infeasible pairs skip the solver.
+    if (analysis::PruneDomain D = oracleRejects(Sk, F.Phi, PhiSig);
+        D != analysis::PruneDomain::None) {
+      countAnalysisPrune(D);
+      Decide(Decision::PrunedAnalysis);
+      return true;
+    }
+
+    ++Stats.SolverCalls;
+    Expected<SymTensor> HoleSpec = Solver.solve(Sk, F.Phi);
+    if (!HoleSpec) {
+      ErrC Code = HoleSpec.error().code();
+      if (Code == ErrC::Timeout || Code == ErrC::BudgetExhausted) {
+        Decide(Decision::BudgetStop);
+        return false; // the budget latched; no point in trying more sketches
+      }
+      // NoSolution is the expected miss; anything else is a failed
+      // candidate evaluation — prune the branch, keep searching.
+      if (Code != ErrC::NoSolution) {
+        ++Stats.PrunedByError;
+        Decide(Decision::PrunedError);
+      } else {
+        Decide(Decision::NoSolution);
+      }
+      return true;
+    }
+    ++Stats.SolverSuccesses;
+
+    // PRUNE (line 12): only monotonically simplifying decompositions.
+    if (specComplexity(*HoleSpec) >= F.Complexity) {
+      ++Stats.PrunedBySimplification;
+      Decide(Decision::PrunedSimplification);
+      return true;
+    }
+
+    ++Stats.SketchesExplored;
+    std::optional<Candidate> Sub =
+        dfs(*HoleSpec, F.Level + 1, CostWithSketch, CostMin);
+    double SubtreeCost = Sub ? Sk.ConcreteCost + Sub->Cost : 0;
+    if (!Sub || (Best && Best->Cost <= SubtreeCost)) {
+      Decide(Decision::Explored);
+      return true;
+    }
+    const Node *Filled = substituteNode(Arena, Sk.Root, Sk.Hole, Sub->Tree);
+    Best = Candidate{Filled, SubtreeCost};
+    Decide(Decision::Accepted, SubtreeCost);
+
+    // Completing this hole completes a whole program of cost
+    // CostSoFar + SubtreeCost (sketches have a single hole, so the
+    // recursion is a chain); tighten the incumbent.
+    tighten(CostMin, F.CostSoFar + SubtreeCost);
+    return true;
+  }
+
+private:
   /// Branch-and-bound incumbent visible to this driver: the local chain
   /// minimum, tightened by the cross-worker bound when one is attached.
   double bound(double LocalMin) const {
@@ -206,11 +393,15 @@ public:
     return SharedBound ? Cost > B : Cost >= B;
   }
 
-  /// Tightens the local and (if attached) shared incumbent.
+  /// Tightens the local and (if attached) shared incumbent to a complete
+  /// program of cost \p Cost.  Without branch-and-bound there is no bound
+  /// to tighten, but the heartbeat cell still tracks the incumbent.
   void tighten(double &LocalMin, double Cost) {
-    LocalMin = std::min(LocalMin, Cost);
-    if (SharedBound)
-      atomicMinDouble(*SharedBound, Cost);
+    if (Config.UseBranchAndBound) {
+      LocalMin = std::min(LocalMin, Cost);
+      if (SharedBound)
+        atomicMinDouble(*SharedBound, Cost);
+    }
     if (Progress)
       atomicMinDouble(*Progress, Cost);
   }
@@ -252,171 +443,6 @@ public:
       ++Stats.AnalysisPrunedDegree;
   }
 
-  /// Algorithm 2.  \p CostSoFar is the concrete cost accumulated by
-  /// enclosing sketches; \p CostMin is the branch-and-bound incumbent
-  /// (pass-by-reference as in the paper).
-  std::optional<Candidate> dfs(const SymTensor &Phi, int Level,
-                               double CostSoFar, double &CostMin) {
-    ++Stats.DfsCalls;
-    STENSO_TRACE_NAMED_SPAN(DfsSpan, "synth", "dfs");
-    DfsSpan.arg("depth", Level);
-    if (!Budget.checkpoint()) {
-      decide(-1, Level, bound(CostMin), Decision::BudgetStop);
-      return std::nullopt;
-    }
-
-    // True branch-and-bound (DESIGN.md §14): a static lower bound on the
-    // cost of *every* well-typed completion of Phi.  When even that floor
-    // cannot beat the incumbent, nothing below this level can — not even
-    // the stub match, whose cost the floor under-approximates (so the
-    // tighten it would have applied is a no-op anyway).
-    if (CostBound &&
-        prunes(CostSoFar + CostBound->specLowerBound(Phi), CostMin)) {
-      ++Stats.PrunedByCostBound;
-      decide(-1, Level, bound(CostMin), Decision::PrunedCostBound);
-      return std::nullopt;
-    }
-
-    // Base case (lines 2-8): a direct stub match.  The library keeps the
-    // cheapest stub per spec, so this is the argmin over matches.  Unlike
-    // the paper's pseudo-code we do not return early: the target spec can
-    // match a stub that *is* the original program (the original is
-    // re-derivable within the stub depth), while a cheaper decomposition
-    // through sketches still exists — diag(dot(A,B)) is the canonical
-    // case.  The match instead becomes the incumbent that sketch
-    // exploration must beat, which also tightens the global bound.
-    std::optional<Candidate> Best;
-    if (const Stub *Match = Library.findMatchingStub(Phi)) {
-      // A stub match is the degenerate solver query (an all-concrete
-      // sketch with no hole), so it shares the hole-solver fault site:
-      // under STENSO_FAULT=holesolver:... no candidate path survives.
-      RecoverableErrorScope FaultScope;
-      if (maybeInjectFault(FaultSite::HoleSolve)) {
-        (void)FaultScope.takeError();
-        ++Stats.PrunedByError;
-        decide(-1, Level, bound(CostMin), Decision::PrunedError);
-      } else {
-        Best = Candidate{Match->Root, Match->Cost};
-        decide(-1, Level, bound(CostMin), Decision::StubMatch, Match->Cost);
-        if (Config.UseBranchAndBound)
-          tighten(CostMin, CostSoFar + Match->Cost);
-        else if (Progress)
-          // No bound to tighten in the ablation config, but the
-          // heartbeat/checkpoint cell still tracks the incumbent.
-          atomicMinDouble(*Progress, CostSoFar + Match->Cost);
-      }
-    }
-
-    if (Level >= Config.MaxRecursionDepth)
-      return Best;
-
-    double PhiComplexity = specComplexity(Phi);
-    std::unordered_set<std::string> PhiTensors = tensorNamesOf(Phi);
-    std::optional<analysis::TensorAbstract> PhiSig;
-    for (const Sketch *SkPtr :
-         Library.getSketchesFor(Phi.getShape(), Phi.getDType())) {
-      const Sketch &Sk = *SkPtr;
-      int32_t SkIdx = static_cast<int32_t>(Sk.Index);
-      if (!Budget.checkpoint()) {
-        decide(SkIdx, Level, bound(CostMin), Decision::BudgetStop);
-        break;
-      }
-      // A sketch whose concrete part mentions tensors absent from Phi
-      // could only match through cancellation; skip it.
-      if (!sketchTensorsSubset(Sk, PhiTensors))
-        continue;
-
-      // Branch-and-bound (line 16): the concrete part alone already
-      // forces the final program at or above the incumbent.
-      if (Config.UseBranchAndBound &&
-          prunes(CostSoFar + Sk.ConcreteCost, CostMin)) {
-        ++Stats.PrunedByCost;
-        decide(SkIdx, Level, bound(CostMin), Decision::PrunedCost);
-        continue;
-      }
-
-      // Cost-bound refinement of the check above: the hole still has to
-      // be completed.  Two admissible floors apply — the fixpoint floor
-      // over typed completions reachable at the remaining depth, and the
-      // obligation floor forcing the completion to supply every spec
-      // tensor the concrete part misses (DESIGN.md §14).
-      if (CostBound &&
-          prunes(CostSoFar + Sk.ConcreteCost +
-                     std::max(CostBound->holeCompletionBound(
-                                  Sk.HoleType,
-                                  Config.MaxRecursionDepth - Level - 1),
-                              CostBound->holeObligationFloor(
-                                  Sk.HoleType, PhiTensors,
-                                  Sk.ConcreteTensors)),
-                 CostMin)) {
-        ++Stats.PrunedByCostBound;
-        decide(SkIdx, Level, bound(CostMin), Decision::PrunedCostBound);
-        continue;
-      }
-
-      // Static oracle: provably-infeasible pairs skip the solver.
-      if (analysis::PruneDomain D = oracleRejects(Sk, Phi, PhiSig);
-          D != analysis::PruneDomain::None) {
-        countAnalysisPrune(D);
-        decide(SkIdx, Level, bound(CostMin), Decision::PrunedAnalysis);
-        continue;
-      }
-
-      ++Stats.SolverCalls;
-      Expected<SymTensor> HoleSpec = Solver.solve(Sk, Phi);
-      if (!HoleSpec) {
-        ErrC Code = HoleSpec.error().code();
-        if (Code == ErrC::Timeout || Code == ErrC::BudgetExhausted) {
-          decide(SkIdx, Level, bound(CostMin), Decision::BudgetStop);
-          break; // the budget latched; no point in trying more sketches
-        }
-        // NoSolution is the expected miss; anything else is a failed
-        // candidate evaluation — prune the branch, keep searching.
-        if (Code != ErrC::NoSolution) {
-          ++Stats.PrunedByError;
-          decide(SkIdx, Level, bound(CostMin), Decision::PrunedError);
-        } else {
-          decide(SkIdx, Level, bound(CostMin), Decision::NoSolution);
-        }
-        continue;
-      }
-      ++Stats.SolverSuccesses;
-
-      // PRUNE (line 12): only monotonically simplifying decompositions.
-      if (specComplexity(*HoleSpec) >= PhiComplexity) {
-        ++Stats.PrunedBySimplification;
-        decide(SkIdx, Level, bound(CostMin), Decision::PrunedSimplification);
-        continue;
-      }
-
-      ++Stats.SketchesExplored;
-      std::optional<Candidate> Sub =
-          dfs(*HoleSpec, Level + 1, CostSoFar + Sk.ConcreteCost, CostMin);
-      if (!Sub) {
-        decide(SkIdx, Level, bound(CostMin), Decision::Explored);
-        continue;
-      }
-
-      double SubtreeCost = Sk.ConcreteCost + Sub->Cost;
-      if (Best && Best->Cost <= SubtreeCost) {
-        decide(SkIdx, Level, bound(CostMin), Decision::Explored);
-        continue;
-      }
-      const Node *Filled = substituteNode(Arena, Sk.Root, Sk.Hole, Sub->Tree);
-      Best = Candidate{Filled, SubtreeCost};
-      decide(SkIdx, Level, bound(CostMin), Decision::Accepted, SubtreeCost);
-
-      // Completing this hole completes a whole program of cost
-      // CostSoFar + SubtreeCost (sketches have a single hole, so the
-      // recursion is a chain); tighten the incumbent.
-      if (Config.UseBranchAndBound)
-        tighten(CostMin, CostSoFar + SubtreeCost);
-      else if (Progress)
-        atomicMinDouble(*Progress, CostSoFar + SubtreeCost);
-    }
-    return Best;
-  }
-
   /// The concrete part's tensor-name filter over the precomputed sorted
   /// list (read-only; shared across workers).
   static bool
@@ -428,7 +454,6 @@ public:
     return true;
   }
 
-private:
   const SynthesisConfig &Config;
   SketchLibrary &Library;
   HoleSolver &Solver;
@@ -445,14 +470,14 @@ private:
   analysis::ExprAnalyzer SpecAnalyzer;
 };
 
-/// The sketch-level parallel engine: each eligible top-level sketch
-/// branch is one work-stealing task exploring its subtree sequentially
-/// (chains are short; the fan-out is at the root).  A shared atomic bound
-/// propagates branch-and-bound cuts across workers; the final merge is
-/// deterministic — min cost, ties to the stub match, then to the lowest
-/// branch index — which, together with the strict-`>` pruning discipline
-/// (see SearchDriver::prunes), reproduces the sequential engine's
-/// DFS-first winner exactly.
+/// The sketch-level parallel engine: each top-level sketch branch is one
+/// work-stealing task running SearchDriver::branch at level 0 and
+/// exploring its subtree sequentially (chains are short; the fan-out is
+/// at the root).  A shared atomic bound propagates branch-and-bound cuts
+/// across workers; the final merge is deterministic — min cost, ties to
+/// the stub match, then to the lowest branch index — which, together
+/// with the strict-`>` pruning discipline (see SearchDriver::prunes),
+/// reproduces the sequential engine's DFS-first winner exactly.
 struct ParallelSearch {
   /// Per-branch arenas; must stay alive until the winner is cloned out.
   std::vector<std::unique_ptr<Program>> Arenas;
@@ -464,59 +489,26 @@ struct ParallelSearch {
       const analysis::CostBoundAnalysis *CostBound = nullptr,
       std::atomic<double> *Progress = nullptr,
       observe::ProgressMonitor *Monitor = nullptr) {
-    ++Stats.DfsCalls; // the level-0 call, as in the sequential engine
-    std::atomic<double> Bound{OriginalCost};
-    using Decision = observe::DecisionLog::Outcome;
-    auto Decide = [&Config](int32_t SkIdx, double BoundAtEntry, Decision O,
-                            double Cost = 0) {
-      if (Config.Decisions)
-        Config.Decisions->record(SkIdx, 0, BoundAtEntry, O, Cost,
-                                 Config.DecisionsTag);
-    };
-
-    // Level-0 cost-bound entry check, mirroring the sequential engine's
-    // (identical numbers: CostSoFar = 0, incumbent = OriginalCost, and
-    // the sequential `>=` discipline — this check runs before any worker
-    // exists, so the bound cell cannot yet differ from OriginalCost).
-    if (CostBound && CostBound->specLowerBound(Phi) >= OriginalCost) {
-      ++Stats.PrunedByCostBound;
-      Decide(-1, OriginalCost, Decision::PrunedCostBound);
-      return std::nullopt;
-    }
-
-    // Root stub match on the calling thread, before any worker runs: its
-    // fault-site draw keeps the same global position as sequentially.
-    std::optional<SearchDriver::Candidate> RootMatch;
-    if (const Stub *Match = Library.findMatchingStub(Phi)) {
-      RecoverableErrorScope FaultScope;
-      if (maybeInjectFault(FaultSite::HoleSolve)) {
-        (void)FaultScope.takeError();
-        ++Stats.PrunedByError;
-        Decide(-1, OriginalCost, Decision::PrunedError);
-      } else {
-        RootMatch = SearchDriver::Candidate{Match->Root, Match->Cost};
-        Decide(-1, OriginalCost, Decision::StubMatch, Match->Cost);
-        if (Config.UseBranchAndBound)
-          atomicMinDouble(Bound, Match->Cost);
-        if (Progress)
-          atomicMinDouble(*Progress, Match->Cost);
-      }
-    }
-
-    // Eligible branches in canonical library order; the deterministic
-    // filters run here, the timing-dependent cost prune inside the task.
-    double PhiComplexity = specComplexity(Phi);
-    std::unordered_set<std::string> PhiTensors = tensorNamesOf(Phi);
-    std::vector<const Sketch *> Branches;
-    for (const Sketch *Sk :
-         Library.getSketchesFor(Phi.getShape(), Phi.getDType()))
-      if (SearchDriver::sketchTensorsSubset(*Sk, PhiTensors))
-        Branches.push_back(Sk);
+    // The level-0 prologue runs on the calling thread, before any worker
+    // exists, through a SearchDriver with no shared bound: the sequential
+    // `>=` discipline is exact here, and the stub match's fault-site draw
+    // keeps the same global position as sequentially.  The shared bound
+    // then starts from the incumbent it leaves.
+    double CostMin = OriginalCost;
+    std::optional<SearchDriver::Candidate> Best;
+    SearchDriver Root(Config, Library, Solver, Stats, Budget,
+                      Library.getArena(), nullptr, Progress, CostBound);
+    if (!Root.enterLevel(Phi, 0, 0, CostMin, Best))
+      return Best;
+    std::atomic<double> Bound{CostMin};
+    const SearchDriver::Frame Level0(Phi, 0, 0);
+    const std::vector<const Sketch *> &Branches =
+        Library.getSketchesFor(Phi.getShape(), Phi.getDType());
 
     struct BranchResult {
       std::optional<SearchDriver::Candidate> Cand;
       SynthesisStats Stats;
-      std::unique_ptr<Program> Arena;
+      std::unique_ptr<Program> Arena = std::make_unique<Program>();
     };
     std::vector<BranchResult> Results(Branches.size());
 
@@ -538,81 +530,16 @@ struct ParallelSearch {
           [&Pool]() -> int64_t { return Pool.getQueueDepth(); });
     Pool.parallelFor(0, Branches.size(), [&](size_t I) {
       const Sketch &Sk = *Branches[I];
-      int32_t SkIdx = static_cast<int32_t>(Sk.Index);
       BranchResult &Out = Results[I];
       STENSO_TRACE_NAMED_SPAN(BranchSpan, "synth", "branch");
-      BranchSpan.arg("sketch", SkIdx);
-      if (!Budget.checkpoint()) {
-        Decide(SkIdx, Bound.load(std::memory_order_relaxed),
-               Decision::BudgetStop);
-        return;
-      }
-      Out.Arena = std::make_unique<Program>();
+      BranchSpan.arg("sketch", static_cast<int32_t>(Sk.Index));
       SearchDriver Driver(Config, Library, Solver, Out.Stats, Budget,
                           *Out.Arena, &Bound, Progress, CostBound);
-      double LocalMin = OriginalCost;
-      if (Config.UseBranchAndBound &&
-          Driver.prunes(Sk.ConcreteCost, LocalMin)) {
-        ++Out.Stats.PrunedByCost;
-        Decide(SkIdx, Driver.bound(LocalMin), Decision::PrunedCost);
-        return;
-      }
-      if (CostBound &&
-          Driver.prunes(Sk.ConcreteCost +
-                            std::max(CostBound->holeCompletionBound(
-                                         Sk.HoleType,
-                                         Config.MaxRecursionDepth - 1),
-                                     CostBound->holeObligationFloor(
-                                         Sk.HoleType, PhiTensors,
-                                         Sk.ConcreteTensors)),
-                        LocalMin)) {
-        ++Out.Stats.PrunedByCostBound;
-        Decide(SkIdx, Driver.bound(LocalMin), Decision::PrunedCostBound);
-        return;
-      }
+      double LocalMin = CostMin;
       std::optional<analysis::TensorAbstract> PhiSig;
-      if (analysis::PruneDomain D = Driver.oracleRejects(Sk, Phi, PhiSig);
-          D != analysis::PruneDomain::None) {
-        Driver.countAnalysisPrune(D);
-        Decide(SkIdx, Driver.bound(LocalMin), Decision::PrunedAnalysis);
-        return;
-      }
-      ++Out.Stats.SolverCalls;
-      Expected<SymTensor> HoleSpec = Solver.solve(Sk, Phi);
-      if (!HoleSpec) {
-        ErrC Code = HoleSpec.error().code();
-        if (Code == ErrC::Timeout || Code == ErrC::BudgetExhausted) {
-          Decide(SkIdx, Driver.bound(LocalMin), Decision::BudgetStop);
-        } else if (Code != ErrC::NoSolution) {
-          ++Out.Stats.PrunedByError;
-          Decide(SkIdx, Driver.bound(LocalMin), Decision::PrunedError);
-        } else {
-          Decide(SkIdx, Driver.bound(LocalMin), Decision::NoSolution);
-        }
-        return;
-      }
-      ++Out.Stats.SolverSuccesses;
-      if (specComplexity(*HoleSpec) >= PhiComplexity) {
-        ++Out.Stats.PrunedBySimplification;
-        Decide(SkIdx, Driver.bound(LocalMin), Decision::PrunedSimplification);
-        return;
-      }
-      ++Out.Stats.SketchesExplored;
-      std::optional<SearchDriver::Candidate> Sub =
-          Driver.dfs(*HoleSpec, 1, Sk.ConcreteCost, LocalMin);
-      if (!Sub) {
-        Decide(SkIdx, Driver.bound(LocalMin), Decision::Explored);
-        return;
-      }
-      double SubtreeCost = Sk.ConcreteCost + Sub->Cost;
-      const Node *Filled =
-          substituteNode(*Out.Arena, Sk.Root, Sk.Hole, Sub->Tree);
-      Out.Cand = SearchDriver::Candidate{Filled, SubtreeCost};
-      Decide(SkIdx, Driver.bound(LocalMin), Decision::Accepted, SubtreeCost);
-      if (Config.UseBranchAndBound)
-        atomicMinDouble(Bound, SubtreeCost);
-      if (Progress)
-        atomicMinDouble(*Progress, SubtreeCost);
+      // The task's candidate slot starts empty, so the branch's own
+      // winner is always recorded for the merge below.
+      Driver.branch(Sk, Level0, LocalMin, PhiSig, Out.Cand);
     });
     if (Monitor)
       Monitor->setQueueProbe(nullptr);
@@ -622,23 +549,12 @@ struct ParallelSearch {
     // Deterministic merge: strict `<` keeps the stub match on ties and,
     // among branches, the lowest library index — the sequential DFS-first
     // winner.
-    std::optional<SearchDriver::Candidate> Best = RootMatch;
     for (BranchResult &Out : Results) {
-      Stats.DfsCalls += Out.Stats.DfsCalls;
-      Stats.SketchesExplored += Out.Stats.SketchesExplored;
-      Stats.PrunedByCost += Out.Stats.PrunedByCost;
-      Stats.PrunedByCostBound += Out.Stats.PrunedByCostBound;
-      Stats.PrunedBySimplification += Out.Stats.PrunedBySimplification;
-      Stats.PrunedByError += Out.Stats.PrunedByError;
-      Stats.PrunedByAnalysis += Out.Stats.PrunedByAnalysis;
-      Stats.AnalysisPrunedSign += Out.Stats.AnalysisPrunedSign;
-      Stats.AnalysisPrunedDegree += Out.Stats.AnalysisPrunedDegree;
-      Stats.SolverCalls += Out.Stats.SolverCalls;
-      Stats.SolverSuccesses += Out.Stats.SolverSuccesses;
+      for (const StatsField &F : StatsFields)
+        Stats.*F.Member += Out.Stats.*F.Member;
       if (Out.Cand && (!Best || Out.Cand->Cost < Best->Cost))
         Best = Out.Cand;
-      if (Out.Arena)
-        Arenas.push_back(std::move(Out.Arena));
+      Arenas.push_back(std::move(Out.Arena));
     }
     return Best;
   }
@@ -662,29 +578,9 @@ void publishRunMetrics(const SynthesisResult &Result,
   M.counter("synth.improved").add(Result.Improved ? 1 : 0);
   M.counter("synth.aborted")
       .add(Result.Abort == AbortReason::None ? 0 : 1);
-  M.counter("synth.dfs_calls").add(S.DfsCalls);
-  M.counter("synth.sketches_explored").add(S.SketchesExplored);
-  M.counter("synth.prune.cost").add(S.PrunedByCost);
-  M.counter("synth.prune.costbound").add(S.PrunedByCostBound);
-  M.counter("synth.prune.simplify").add(S.PrunedBySimplification);
-  M.counter("synth.prune.error").add(S.PrunedByError);
-  M.counter("synth.prune.analysis").add(S.PrunedByAnalysis);
-  M.counter("synth.prune.analysis.sign").add(S.AnalysisPrunedSign);
-  M.counter("synth.prune.analysis.degree").add(S.AnalysisPrunedDegree);
-  M.counter("synth.prune.analysis.shape").add(S.AnalysisPrunedShape);
-  M.counter("holesolver.calls").add(S.SolverCalls);
-  M.counter("holesolver.cache.hit").add(S.SolverCacheHits);
-  M.counter("holesolver.cache.miss").add(S.SolverCacheMisses);
-  M.counter("holesolver.cache.evict").add(S.SolverCacheEvictions);
-  M.counter("exprctx.interned_nodes").add(S.InternedNodes);
-  M.counter("exprctx.intern_lookups").add(S.InternLookups);
-  M.counter("exprctx.intern_hits").add(S.InternHits);
-  M.counter("budget.checkpoint.calls").add(S.CheckpointCalls);
-  M.counter("budget.checkpoint.clock_reads").add(S.CheckpointClockReads);
-  M.counter("synth.store.hits").add(S.StoreHits);
-  M.counter("synth.store.rejected").add(S.StoreRejected);
-  M.counter("synth.store.puts").add(S.StorePuts);
-  M.counter("synth.store.checkpoint_loaded").add(S.StoreCheckpointLoaded);
+  for (const StatsField &F : StatsFields)
+    if (F.MetricName)
+      M.counter(F.MetricName).add(S.*F.Member);
   M.histogram("synth.run_seconds", {0.001, 0.01, 0.1, 1, 10, 60, 300, 600})
       .record(Result.SynthesisSeconds);
   if (Solver) {
@@ -810,45 +706,12 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
   HoleSolver Solver(Ctx, Bindings);
   Solver.setBudget(&Budget);
 
-  // Persistent store attachment.  The identity of this search is the
-  // printed program plus every result-relevant config knob; budget caps
-  // and Jobs are deliberately excluded so an aborted run and its resume
-  // (or a differently-parallel rerun) share one checkpoint lineage.
+  // Persistent store attachment: warm records serve solved holes, and
+  // computed results are written behind.
   persist::StensoStore *Store = Config.Store;
-  uint64_t ProgKey = 0;
-  std::atomic<double> ProgressCost{Result.OriginalCost};
-  if (Store) {
+  if (Store)
     Solver.setStore(Store);
-    std::string Salt = "v1|model=" + Config.CostModelName +
-                       "|bb=" + (Config.UseBranchAndBound ? "1" : "0") +
-                       "|ap=" + (Config.UseAnalysisPruning ? "1" : "0") +
-                       "|cb=" + (Config.UseCostBoundPruning ? "1" : "0") +
-                       "|depth=" + std::to_string(Config.MaxRecursionDepth) +
-                       "|libdepth=" + std::to_string(Config.Library.MaxDepth) +
-                       "|stubs=" + std::to_string(Config.Library.MaxStubs) +
-                       "|full=" + (Config.Library.FullCombination ? "1" : "0") +
-                       "|ops=";
-    for (dsl::OpKind Op : Config.Library.Ops)
-      Salt += std::to_string(static_cast<int>(Op)) + ",";
-    ProgKey = persist::programKey(Result.OptimizedSource, Salt);
-    if (std::optional<std::vector<uint8_t>> Bytes =
-            Store->get(persist::checkpointKey(ProgKey)))
-      if (persist::decodeCheckpoint(*Bytes))
-        Result.Stats.StoreCheckpointLoaded = 1;
-    // Every write-behind flush carries a progress checkpoint: best cost
-    // so far, solver calls, frontier digest.  A SIGKILLed search thus
-    // leaves both its cache records and a progress marker on disk.
-    Store->setFlushHook([&Solver, &ProgressCost, ProgKey] {
-      persist::SearchCheckpoint C;
-      C.ProgramKey = ProgKey;
-      C.Final = false;
-      C.BestCost = ProgressCost.load(std::memory_order_relaxed);
-      C.SolverCalls = Solver.getNumCalls();
-      C.FrontierDigest = Solver.getStoreDigest();
-      return std::make_pair(persist::checkpointKey(ProgKey),
-                            persist::encodeCheckpoint(C));
-    });
-  }
+  std::atomic<double> ProgressCost{Result.OriginalCost};
 
   // Live heartbeat attachment: the sampler reads nothing but atomics
   // (budget consumption, solver counters, the shared best-cost cell),
@@ -856,7 +719,6 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
   // The monitor's lifecycle (start/stop) belongs to the caller; this
   // run only lends it a view of the search for the duration.
   observe::ProgressMonitor *Monitor = Config.Progress;
-  bool TrackProgressCost = Store != nullptr || Monitor != nullptr;
   int ResolvedJobs = Config.Jobs <= 0
                          ? static_cast<int>(ThreadPool::hardwareConcurrency())
                          : Config.Jobs;
@@ -891,7 +753,7 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
     if (Config.Jobs == 1) {
       SearchDriver Driver(Config, Library, Solver, Result.Stats, Budget,
                           Library.getArena(), nullptr,
-                          TrackProgressCost ? &ProgressCost : nullptr,
+                          Monitor ? &ProgressCost : nullptr,
                           CostBound ? &*CostBound : nullptr);
       double CostMin = Result.OriginalCost;
       Best = Driver.dfs(*Phi, 0, 0, CostMin);
@@ -899,14 +761,12 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
       Best = Parallel.run(Config, Library, Solver, Result.Stats, Budget, *Phi,
                           Result.OriginalCost,
                           CostBound ? &*CostBound : nullptr,
-                          TrackProgressCost ? &ProgressCost : nullptr,
+                          Monitor ? &ProgressCost : nullptr,
                           Monitor);
     }
     SearchSpan.arg("found", Best.has_value());
   }
 
-  Result.Stats.SolverCalls = Solver.getNumCalls();
-  Result.Stats.SolverSuccesses = Solver.getNumSolved();
   Result.Stats.SolverCacheHits = Solver.getCacheHits();
   Result.Stats.SolverCacheMisses = Solver.getCacheMisses();
   Result.Stats.SolverCacheEvictions = Solver.getCacheEvictions();
@@ -939,21 +799,9 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
     Result.Abort = AbortReason::InternalError;
   Result.TimedOut = Result.Abort == AbortReason::Timeout;
 
-  // Store finalization: detach the progress hook (its captures die with
-  // this frame), write the final checkpoint, and flush synchronously —
-  // the search is over, durability is no longer on anyone's hot path.
+  // Store finalization: flush synchronously — the search is over,
+  // durability is no longer on anyone's hot path.
   if (Store) {
-    Store->setFlushHook(nullptr);
-    persist::SearchCheckpoint Ckpt;
-    Ckpt.ProgramKey = ProgKey;
-    Ckpt.Final = true;
-    Ckpt.BestCost = Result.OptimizedCost;
-    Ckpt.BestProgram = Result.OptimizedSource;
-    Ckpt.AbortCode = static_cast<uint8_t>(Result.Abort);
-    Ckpt.SolverCalls = Solver.getNumCalls();
-    Ckpt.FrontierDigest = Solver.getStoreDigest();
-    Store->put(persist::checkpointKey(ProgKey),
-               persist::encodeCheckpoint(Ckpt));
     Store->flush();
     Solver.setStore(nullptr);
     Result.Stats.StoreHits = Solver.getStoreHits();
@@ -999,39 +847,16 @@ void synth::writeStatsJson(const SynthesisResult &Result, std::ostream &OS) {
   J += ",\n  \"synthesis_seconds\": " +
        observe::jsonNumber(Result.SynthesisSeconds);
   J += ",\n  \"stats\": {";
-  auto Field = [&J](const char *Name, int64_t V, bool First = false) {
-    if (!First)
-      J += ",";
+  const char *Sep = "";
+  for (const StatsField &F : StatsFields) {
+    if (!F.JsonKey)
+      continue;
+    J += Sep;
     J += "\n    ";
-    J += observe::jsonQuote(Name);
-    J += ": " + std::to_string(V);
-  };
-  Field("num_stubs", static_cast<int64_t>(S.NumStubs), /*First=*/true);
-  Field("num_sketches", static_cast<int64_t>(S.NumSketches));
-  Field("dfs_calls", S.DfsCalls);
-  Field("sketches_explored", S.SketchesExplored);
-  Field("pruned_cost", S.PrunedByCost);
-  Field("pruned_costbound", S.PrunedByCostBound);
-  Field("pruned_simplification", S.PrunedBySimplification);
-  Field("pruned_error", S.PrunedByError);
-  Field("pruned_analysis", S.PrunedByAnalysis);
-  Field("analysis_pruned_sign", S.AnalysisPrunedSign);
-  Field("analysis_pruned_degree", S.AnalysisPrunedDegree);
-  Field("analysis_pruned_shape", S.AnalysisPrunedShape);
-  Field("solver_calls", S.SolverCalls);
-  Field("solver_successes", S.SolverSuccesses);
-  Field("solver_cache_hits", S.SolverCacheHits);
-  Field("solver_cache_misses", S.SolverCacheMisses);
-  Field("solver_cache_evictions", S.SolverCacheEvictions);
-  Field("interned_nodes", S.InternedNodes);
-  Field("intern_lookups", S.InternLookups);
-  Field("intern_hits", S.InternHits);
-  Field("checkpoint_calls", S.CheckpointCalls);
-  Field("checkpoint_clock_reads", S.CheckpointClockReads);
-  Field("store_hits", S.StoreHits);
-  Field("store_rejected", S.StoreRejected);
-  Field("store_puts", S.StorePuts);
-  Field("store_checkpoint_loaded", S.StoreCheckpointLoaded);
+    J += observe::jsonQuote(F.JsonKey);
+    J += ": " + std::to_string(S.*F.Member);
+    Sep = ",";
+  }
   J += "\n  }\n}\n";
   OS << J;
 }

@@ -87,12 +87,12 @@ struct SynthesisConfig {
   observe::DecisionLog *Decisions = nullptr;
   /// Opt-in persistent synthesis store (persist/StensoStore.h).  Warm
   /// records let the run skip already-solved holes, and the run writes
-  /// its own results plus periodic search checkpoints behind.  Because
-  /// the solver cache memoizes a pure function and every persisted
-  /// answer is content-keyed (and re-verified when positive), attaching
-  /// a store — warm, cold, torn, or corrupt — never changes the
-  /// synthesized program, cost, or AbortReason of an unbudgeted run; a
-  /// killed search resumes by rerunning warm.  Must outlive the run.
+  /// its own solver results behind.  Because the solver cache memoizes a
+  /// pure function and every persisted answer is content-keyed (and
+  /// re-verified when positive), attaching a store — warm, cold, torn,
+  /// or corrupt — never changes the synthesized program, cost, or
+  /// AbortReason of an unbudgeted run; a killed search resumes by
+  /// rerunning warm.  Must outlive the run.
   persist::StensoStore *Store = nullptr;
   /// Tag stamped on every decision record (the harness uses the
   /// benchmark name; empty for standalone runs).
@@ -109,8 +109,13 @@ struct SynthesisConfig {
   SketchLibrary::Config Library;
 };
 
-/// Search counters for the evaluation harness.
+/// Search counters for the evaluation harness.  Every loop over the
+/// counters (the parallel engine's merge, the metrics publication, the
+/// `--stats-json` writer) goes through StatsFields below, so a new
+/// counter is added here and there, nowhere else.
 struct SynthesisStats {
+  int64_t NumStubs = 0;
+  int64_t NumSketches = 0;
   int64_t DfsCalls = 0;
   int64_t SketchesExplored = 0;
   int64_t PrunedByCost = 0;
@@ -130,10 +135,10 @@ struct SynthesisStats {
   /// Variable-support prunes (bottom-up engine only; the DFS engine's
   /// support filter predates the oracle and is counted separately).
   int64_t AnalysisPrunedSupport = 0;
+  /// Hole-solver invocations by the search, and those that returned a
+  /// hole spec (each then either simplification-pruned or explored).
   int64_t SolverCalls = 0;
   int64_t SolverSuccesses = 0;
-  size_t NumStubs = 0;
-  size_t NumSketches = 0;
   /// Hole-solver memo-cache telemetry (hits + misses = probes).
   int64_t SolverCacheHits = 0;
   int64_t SolverCacheMisses = 0;
@@ -149,12 +154,64 @@ struct SynthesisStats {
   int64_t CheckpointClockReads = 0;
   /// Persistent-store traffic (zero when no store is attached): verified
   /// warm answers served (full solves avoided), records rejected by
-  /// decode/re-verification, results written behind, and whether a prior
-  /// checkpoint for this exact (program, config) identity was found.
+  /// decode/re-verification, and results written behind.
   int64_t StoreHits = 0;
   int64_t StoreRejected = 0;
   int64_t StorePuts = 0;
-  int64_t StoreCheckpointLoaded = 0;
+};
+
+/// One SynthesisStats counter: its member, its `--stats-json` key and
+/// its metrics-registry name (null when the counter is not written
+/// there).
+struct StatsField {
+  int64_t SynthesisStats::*Member;
+  const char *JsonKey;
+  const char *MetricName;
+};
+
+/// Every SynthesisStats counter, in `--stats-json` key order.
+inline constexpr StatsField StatsFields[] = {
+    {&SynthesisStats::NumStubs, "num_stubs", nullptr},
+    {&SynthesisStats::NumSketches, "num_sketches", nullptr},
+    {&SynthesisStats::DfsCalls, "dfs_calls", "synth.dfs_calls"},
+    {&SynthesisStats::SketchesExplored, "sketches_explored",
+     "synth.sketches_explored"},
+    {&SynthesisStats::PrunedByCost, "pruned_cost", "synth.prune.cost"},
+    {&SynthesisStats::PrunedByCostBound, "pruned_costbound",
+     "synth.prune.costbound"},
+    {&SynthesisStats::PrunedBySimplification, "pruned_simplification",
+     "synth.prune.simplify"},
+    {&SynthesisStats::PrunedByError, "pruned_error", "synth.prune.error"},
+    {&SynthesisStats::PrunedByAnalysis, "pruned_analysis",
+     "synth.prune.analysis"},
+    {&SynthesisStats::AnalysisPrunedSign, "analysis_pruned_sign",
+     "synth.prune.analysis.sign"},
+    {&SynthesisStats::AnalysisPrunedDegree, "analysis_pruned_degree",
+     "synth.prune.analysis.degree"},
+    {&SynthesisStats::AnalysisPrunedShape, "analysis_pruned_shape",
+     "synth.prune.analysis.shape"},
+    {&SynthesisStats::AnalysisPrunedSupport, nullptr, nullptr},
+    {&SynthesisStats::SolverCalls, "solver_calls", "holesolver.calls"},
+    {&SynthesisStats::SolverSuccesses, "solver_successes", nullptr},
+    {&SynthesisStats::SolverCacheHits, "solver_cache_hits",
+     "holesolver.cache.hit"},
+    {&SynthesisStats::SolverCacheMisses, "solver_cache_misses",
+     "holesolver.cache.miss"},
+    {&SynthesisStats::SolverCacheEvictions, "solver_cache_evictions",
+     "holesolver.cache.evict"},
+    {&SynthesisStats::InternedNodes, "interned_nodes",
+     "exprctx.interned_nodes"},
+    {&SynthesisStats::InternLookups, "intern_lookups",
+     "exprctx.intern_lookups"},
+    {&SynthesisStats::InternHits, "intern_hits", "exprctx.intern_hits"},
+    {&SynthesisStats::CheckpointCalls, "checkpoint_calls",
+     "budget.checkpoint.calls"},
+    {&SynthesisStats::CheckpointClockReads, "checkpoint_clock_reads",
+     "budget.checkpoint.clock_reads"},
+    {&SynthesisStats::StoreHits, "store_hits", "synth.store.hits"},
+    {&SynthesisStats::StoreRejected, "store_rejected",
+     "synth.store.rejected"},
+    {&SynthesisStats::StorePuts, "store_puts", "synth.store.puts"},
 };
 
 /// Why a synthesis run stopped short of an exhaustive search.  Ordered by

@@ -122,11 +122,20 @@ struct EngineCase {
   InputDecls Decls;
 };
 
+/// Prints the case as its name.  gtest's default dumps the struct's
+/// bytes, pointers included, and ctest puts that text in the test name.
+void PrintTo(const EngineCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class EngineCorrectnessTest
     : public ::testing::TestWithParam<std::tuple<FrameworkKind, EngineCase>> {
 };
 
 } // namespace
+
+namespace stenso::backend {
+/// The framework half of an EngineCorrectnessTest parameter, by name.
+void PrintTo(FrameworkKind K, std::ostream *OS) { *OS << toString(K); }
+} // namespace stenso::backend
 
 TEST_P(EngineCorrectnessTest, MatchesReferenceInterpreter) {
   auto [Kind, Case] = GetParam();

@@ -266,6 +266,10 @@ struct RoundTripCase {
   InputDecls Decls;
 };
 
+/// Prints the case as its name.  gtest's default dumps the struct's
+/// bytes, pointers included, and ctest puts that text in the test name.
+void PrintTo(const RoundTripCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class RoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 
 } // namespace

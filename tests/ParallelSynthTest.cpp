@@ -126,6 +126,20 @@ TEST(ParallelSynthTest, RepeatedParallelRunsAreStable) {
   expectIdenticalOutcome(First, Second, /*Jobs=*/4);
 }
 
+TEST(ParallelSynthTest, EverySolverSuccessIsPrunedOrExplored) {
+  // SolverSuccesses counts the search's own successful solves, memo hits
+  // included: each one is then simplification-pruned or explored, in
+  // either engine.  At jobs=4 the shared memo serves repeated queries
+  // across branches, so a count of distinct solutions would fall short.
+  for (int Jobs : {1, 4}) {
+    SynthesisResult R = runBenchmark("vec_lerp", Jobs);
+    EXPECT_GT(R.Stats.SolverSuccesses, 0) << "jobs=" << Jobs;
+    EXPECT_EQ(R.Stats.SolverSuccesses,
+              R.Stats.PrunedBySimplification + R.Stats.SketchesExplored)
+        << "jobs=" << Jobs;
+  }
+}
+
 TEST(ParallelSynthTest, LiveTelemetryDoesNotPerturbTheSearch) {
   // Telemetry is observation-only by contract (DESIGN.md §9): an active
   // trace session plus an attached decision log around the search must

@@ -26,7 +26,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "persist/Checkpoint.h"
 #include "persist/ExprCodec.h"
 #include "persist/StensoStore.h"
 #include "persist/Wire.h"
@@ -267,43 +266,6 @@ TEST(ExprCodecTest, FuzzGeneratedSpecsRoundTrip) {
           << Case.Source << " truncated to " << Len;
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Checkpoint codec
-//===----------------------------------------------------------------------===//
-
-TEST(CheckpointTest, RoundTripAndVersionReject) {
-  SearchCheckpoint C;
-  C.ProgramKey = programKey("np.diag(np.dot(A, B))", "v1|model=flops");
-  C.Final = true;
-  C.BestCost = 20736;
-  C.BestProgram = "np.sum(A * np.transpose(B), axis=1)";
-  C.AbortCode = 0;
-  C.SolverCalls = 526575;
-  C.FrontierDigest = 0xFEEDFACEull;
-  std::vector<uint8_t> Bytes = encodeCheckpoint(C);
-  std::optional<SearchCheckpoint> Back = decodeCheckpoint(Bytes);
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_EQ(Back->ProgramKey, C.ProgramKey);
-  EXPECT_EQ(Back->Final, C.Final);
-  EXPECT_EQ(Back->BestCost, C.BestCost);
-  EXPECT_EQ(Back->BestProgram, C.BestProgram);
-  EXPECT_EQ(Back->SolverCalls, C.SolverCalls);
-  EXPECT_EQ(Back->FrontierDigest, C.FrontierDigest);
-  // Unknown version byte reads as "no checkpoint", not garbage.
-  std::vector<uint8_t> Wrong = Bytes;
-  Wrong[0] ^= 0xFF;
-  EXPECT_FALSE(decodeCheckpoint(Wrong).has_value());
-  Bytes.push_back(0); // trailing junk
-  EXPECT_FALSE(decodeCheckpoint(Bytes).has_value());
-}
-
-TEST(CheckpointTest, ProgramKeySeparatesProgramAndConfig) {
-  uint64_t A = programKey("np.dot(A, B)", "v1|model=flops");
-  EXPECT_NE(A, programKey("np.dot(B, A)", "v1|model=flops"));
-  EXPECT_NE(A, programKey("np.dot(A, B)", "v1|model=measured"));
-  EXPECT_EQ(A, programKey("np.dot(A, B)", "v1|model=flops"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -616,7 +578,6 @@ TEST(PersistDifferentialTest, StoreBackedParallelMatchesSequential) {
     EXPECT_EQ(Resumed.OptimizedCost, Baseline.OptimizedCost);
     EXPECT_EQ(Resumed.Abort, Baseline.Abort);
     EXPECT_GT(Resumed.Stats.StoreHits, 0);
-    EXPECT_EQ(Resumed.Stats.StoreCheckpointLoaded, 1);
   }
 }
 

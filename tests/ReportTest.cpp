@@ -48,7 +48,7 @@ struct LiveRun {
   std::string ProgressJsonl;
 };
 
-LiveRun runLiveSynthesis() {
+LiveRun runLiveSynthesis(int Jobs) {
   // log_exp_1: improves to "A + B" in ~200ms while still exercising
   // pruning, so one run feeds every live-stream test below.
   dsl::TensorType Vec4{DType::Float64, Shape({4})};
@@ -69,6 +69,7 @@ LiveRun runLiveSynthesis() {
   Config.Decisions = &Log;
   Config.DecisionsTag = "live";
   Config.Progress = &Monitor;
+  Config.Jobs = Jobs;
   LiveRun Run;
   Run.Result = synth::Synthesizer(Config).run(*P.Prog);
   Monitor.stop();
@@ -82,10 +83,10 @@ LiveRun runLiveSynthesis() {
   return Run;
 }
 
-/// The live run is deterministic, so one shared instance serves every
-/// test that reads it.
+/// The sequential live run is deterministic, so one shared instance
+/// serves every test that reads it.
 const LiveRun &liveRun() {
-  static const LiveRun Run = runLiveSynthesis();
+  static const LiveRun Run = runLiveSynthesis(/*Jobs=*/1);
   return Run;
 }
 
@@ -106,15 +107,16 @@ RunReport buildFromStreams(const LiveRun &Run) {
 // Live streams: the report must reproduce the run's own numbers
 //===----------------------------------------------------------------------===//
 
-TEST(ReportTest, LiveStreamsReproduceStatsExactly) {
-  const LiveRun &Run = liveRun();
+/// The report built from \p Run's streams reproduces the run's own
+/// numbers: the decision log's outcome counts ARE the stats counters for
+/// the decision-paired prunes — exact, not approximate.
+void expectStreamsReproduceStats(const LiveRun &Run) {
   ASSERT_TRUE(Run.Result.Improved);
   RunReport R = buildFromStreams(Run);
 
-  // The decision log's outcome counts ARE the stats counters for the
-  // decision-paired prunes — exact, not approximate.
   const synth::SynthesisStats &S = Run.Result.Stats;
   EXPECT_EQ(R.OutcomeCounts["pruned-cost"], S.PrunedByCost);
+  EXPECT_EQ(R.OutcomeCounts["pruned-costbound"], S.PrunedByCostBound);
   EXPECT_EQ(R.OutcomeCounts["pruned-simplification"],
             S.PrunedBySimplification);
   EXPECT_EQ(R.OutcomeCounts["pruned-analysis"],
@@ -129,6 +131,16 @@ TEST(ReportTest, LiveStreamsReproduceStatsExactly) {
   EXPECT_NEAR(*R.FinalBest, Run.Result.OptimizedCost, 1e-12);
 
   EXPECT_TRUE(crossCheckReport(R).empty());
+}
+
+TEST(ReportTest, LiveStreamsReproduceStatsExactly) {
+  expectStreamsReproduceStats(liveRun());
+}
+
+TEST(ReportTest, ParallelLiveStreamsReproduceStatsExactly) {
+  // Both engines run the same per-sketch step, so the parallel engine's
+  // decision log pairs with its counters exactly as the sequential one's.
+  expectStreamsReproduceStats(runLiveSynthesis(/*Jobs=*/4));
 }
 
 TEST(ReportTest, LiveStreamsRenderBothFormats) {

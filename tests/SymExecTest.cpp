@@ -42,6 +42,10 @@ struct SpecPair {
   InputDecls Decls;
 };
 
+/// Prints the case as its name.  gtest's default dumps the struct's
+/// bytes, pointers included, and ctest puts that text in the test name.
+void PrintTo(const SpecPair &C, std::ostream *OS) { *OS << C.Name; }
+
 class SpecIdentityTest : public ::testing::TestWithParam<SpecPair> {};
 
 } // namespace
@@ -150,6 +154,10 @@ struct CrossCase {
   const char *Source;
   InputDecls Decls;
 };
+
+/// Prints the case as its name.  gtest's default dumps the struct's
+/// bytes, pointers included, and ctest puts that text in the test name.
+void PrintTo(const CrossCase &C, std::ostream *OS) { *OS << C.Name; }
 
 class CrossValidationTest : public ::testing::TestWithParam<CrossCase> {};
 

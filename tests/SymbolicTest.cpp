@@ -414,6 +414,10 @@ struct IdentityCase {
   const Expr *(*Rhs)(ExprContext &, const Expr *, const Expr *);
 };
 
+/// Prints the case as its name.  gtest's default dumps the struct's
+/// bytes, pointers included, and ctest puts that text in the test name.
+void PrintTo(const IdentityCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class IdentityTest : public ::testing::TestWithParam<IdentityCase> {};
 
 } // namespace

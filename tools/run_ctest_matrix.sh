@@ -23,6 +23,10 @@
 #             baselines with tools/check_bench_regression.sh (SKIPs on
 #             hosts without python3)
 #
+# After its ctest run, each of release/asan/tsan checks that every test
+# name is stable (tools/check_test_names.sh) and validates a traced run;
+# release and asan add the fuzz smoke and store crash-recovery legs.
+#
 # Usage:
 #   tools/run_ctest_matrix.sh             # all five configurations
 #   tools/run_ctest_matrix.sh tsan        # just one
@@ -133,6 +137,11 @@ run_config() {
   cmake --build "${BUILD_DIR}" -j "${JOBS}" || return 1
   echo "=== [${NAME}] ctest ${CTEST_FLAGS[*]} ==="
   (cd "${BUILD_DIR}" && ctest "${CTEST_FLAGS[@]}") || return 1
+
+  # Test-name leg: every ctest name is a pure function of the source, so
+  # test lists compare across builds (no ASLR bytes in any name).
+  echo "=== [${NAME}] test-name stability ==="
+  tools/check_test_names.sh "${BUILD_DIR}" || return 1
 
   # Trace-validation leg: one traced end-to-end run per configuration,
   # with the emitted Chrome/Perfetto JSON checked by validate_trace.sh

@@ -93,9 +93,9 @@ void printUsage(std::ostream &OS) {
         "                          heartbeat period (default 1000)\n"
         "  --store DIR             durable synthesis store: serve hole\n"
         "                          solutions persisted by previous runs\n"
-        "                          and write this run's results + search\n"
-        "                          checkpoints behind (crash-safe: a\n"
-        "                          killed or budget-aborted run resumes\n"
+        "                          and write this run's results behind\n"
+        "                          (crash-safe: a killed or\n"
+        "                          budget-aborted run resumes\n"
         "                          by rerunning warm and converges to the\n"
         "                          identical result).  STENSO_STORE in\n"
         "                          the environment is honored when the\n"
@@ -317,7 +317,7 @@ int main(int Argc, char **Argv) {
   std::cerr << "AbortReason=" << synth::toString(Result.Abort) << "\n";
 
   if (Store) {
-    // Flush the final checkpoint batch before reporting sizes so the
+    // Flush the final batch before reporting sizes so the
     // record/byte counts reflect what actually survives this process.
     Store->flush();
     persist::StensoStore::Stats SS = Store->stats();
@@ -336,9 +336,6 @@ int main(int Argc, char **Argv) {
     else if (Store->readOnly())
       std::cerr << " [read-only]";
     std::cerr << "\n";
-    if (Result.Stats.StoreCheckpointLoaded)
-      std::cerr << "store: resumed from a prior checkpoint for this "
-                   "program/config\n";
   }
 
   if (PrintStats) {
