@@ -21,7 +21,6 @@ stenso_add_report(bench_ablation_costmodel)
 stenso_add_report(bench_ablation_backend)
 stenso_add_report(bench_parallel_scaling)
 stenso_add_report(bench_analysis_pruning)
-stenso_add_report(bench_cost_bound)
 stenso_add_report(bench_egraph_vs_synthesis)
 target_link_libraries(bench_egraph_vs_synthesis PRIVATE stenso_egraph)
 stenso_add_report(bench_observe_overhead)

@@ -6,133 +6,14 @@
 
 #include "analysis/CostBound.h"
 
-#include "analysis/AbstractDomains.h"
-#include "support/Error.h"
-#include "symbolic/Expr.h"
-
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <unordered_set>
 
 using namespace stenso;
 using namespace stenso::analysis;
 
 static constexpr double Inf = std::numeric_limits<double>::infinity();
-
-double analysis::flopFloorForOutput(dsl::OpKind Kind,
-                                    const dsl::TensorType &ScaledOut) {
-  using dsl::OpKind;
-  double OutElems =
-      static_cast<double>(ScaledOut.TShape.getNumElements());
-  // Factors the output type does not pin (contracted extents, reduction
-  // extents, diagonal lengths) are intervals, not points: under the
-  // carries-symbols premise each is at least 1 and unbounded above.  The
-  // floor is then the lower endpoint of the cost interval.
-  Interval Unknown = Interval::above(1.0, false);
-  auto FloorOf = [](const Interval &CostRange) { return CostRange.Lo; };
-  switch (Kind) {
-  case OpKind::Input:
-  case OpKind::Constant:
-  case OpKind::Comprehension:
-    // Leaves cost nothing; Comprehension's flopCostForOp is 0 (the body
-    // is charged per trip by costOfTree, which a floor may ignore).
-    return 0;
-
-  case OpKind::Add:
-  case OpKind::Subtract:
-  case OpKind::Multiply:
-  case OpKind::Divide:
-  case OpKind::Maximum:
-  case OpKind::Less:
-  case OpKind::Where:
-    // Exactly |out|: a point, no unknown factors.
-    return FloorOf(Interval::point(OutElems));
-
-  case OpKind::Power:
-  case OpKind::Sqrt:
-  case OpKind::Exp:
-  case OpKind::Log:
-    return FloorOf(Interval::point(4.0 * OutElems));
-
-  case OpKind::Full:
-  case OpKind::Triu:
-  case OpKind::Tril:
-  case OpKind::Transpose:
-  case OpKind::Reshape:
-  case OpKind::Stack:
-  case OpKind::Diag:
-    return FloorOf(Interval::point(0.25 * OutElems));
-
-  case OpKind::Dot:
-  case OpKind::Tensordot:
-    // 2 * |out| * contracted, contracted in [1, +inf): a zero-extent
-    // contraction would produce empty sums (constants), violating the
-    // premise.
-    return FloorOf(Interval::mul(Interval::point(2.0 * OutElems), Unknown));
-
-  case OpKind::Sum:
-  case OpKind::SumAll:
-  case OpKind::Max:
-  case OpKind::MaxAll:
-    // |operand| = |out| * reduced extent, reduced extent in [1, +inf).
-    return FloorOf(Interval::mul(Interval::point(OutElems), Unknown));
-
-  case OpKind::Trace:
-    // min(dim0, dim1) of the operand; a symbol-carrying scalar trace
-    // sums at least one diagonal element.
-    return FloorOf(Interval::mul(Interval::point(1.0), Unknown));
-  }
-  stenso_unreachable("unknown op kind");
-}
-
-namespace {
-
-/// True for ops that take two or more tensor operands — the only places
-/// a tree can join values derived from distinct input tensors.
-bool isMultiOperand(dsl::OpKind K) {
-  using dsl::OpKind;
-  switch (K) {
-  case OpKind::Add:
-  case OpKind::Subtract:
-  case OpKind::Multiply:
-  case OpKind::Divide:
-  case OpKind::Power:
-  case OpKind::Maximum:
-  case OpKind::Less:
-  case OpKind::Where:
-  case OpKind::Dot:
-  case OpKind::Tensordot:
-  case OpKind::Stack:
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// Distinct input-tensor names mentioned by a spec (the synthesizer
-/// keeps an identical helper; the analysis layer cannot reach it).
-std::unordered_set<std::string>
-specTensorNames(const symexec::SymTensor &Spec) {
-  std::unordered_set<std::string> Names;
-  for (const sym::Expr *E : Spec.getElements())
-    for (const sym::SymbolExpr *S : sym::collectSymbols(E))
-      Names.insert(S->getTensorName().empty() ? S->getName()
-                                              : S->getTensorName());
-  return Names;
-}
-
-} // namespace
-
-CostBoundAnalysis::CostBoundAnalysis(OpFloorFn OpFloor,
-                                     std::vector<dsl::OpKind> Ops)
-    : OpFloor(std::move(OpFloor)), Ops(std::move(Ops)) {
-  CombineFloor = Inf;
-  dsl::TensorType Scalar; // f64 scalar: the cheapest legal output.
-  for (dsl::OpKind K : this->Ops)
-    if (isMultiOperand(K))
-      CombineFloor = std::min(CombineFloor, this->OpFloor(K, Scalar));
-}
 
 size_t CostBoundAnalysis::typeIndex(const dsl::TensorType &T) {
   auto [It, Inserted] = TypeIdx.try_emplace(T.toString(), Types.size());
@@ -154,18 +35,6 @@ void CostBoundAnalysis::addSketchEdge(const dsl::TensorType &TemplateT,
   assert(!Sealed && "registration after seal()");
   size_t Hole = typeIndex(HoleT);
   Types[typeIndex(TemplateT)].Edges.emplace_back(Hole, ConcreteCost);
-}
-
-void CostBoundAnalysis::addInputSpec(const symexec::SymTensor &Spec) {
-  assert(!Sealed && "registration after seal()");
-  InputSpecs.push_back(Spec);
-  // A binding's spec mentions exactly its own tensor; remember the
-  // declared type so holeObligationFloor can decide whether a single
-  // missing tensor could be supplied by a bare leaf of the hole's type.
-  std::unordered_set<std::string> Names = specTensorNames(Spec);
-  if (Names.size() == 1)
-    InputTypes.emplace(*Names.begin(),
-                       dsl::TensorType{Spec.getDType(), Spec.getShape()});
 }
 
 void CostBoundAnalysis::seal(int MaxDepth) {
@@ -197,95 +66,4 @@ double CostBoundAnalysis::holeCompletionBound(const dsl::TensorType &T,
   int D = std::clamp(DepthRemaining, 0,
                      static_cast<int>(FloorAtDepth.size()) - 1);
   return FloorAtDepth[static_cast<size_t>(D)][It->second];
-}
-
-double CostBoundAnalysis::specLowerBound(const symexec::SymTensor &Phi) const {
-  assert(Sealed && "query before seal()");
-  std::unordered_set<std::string> Names = specTensorNames(Phi);
-  // Symbol-free specs can complete as literal constants at cost 0.
-  if (Names.empty())
-    return 0;
-  // A spec identical to an input binding completes as that input, free.
-  for (const symexec::SymTensor &S : InputSpecs)
-    if (S.getDType() == Phi.getDType() && S.getShape() == Phi.getShape() &&
-        S.getElements() == Phi.getElements())
-      return 0;
-  // Otherwise the root of every completion is a real operation whose
-  // output is Phi: charge the cheapest admissible root.
-  double Root =
-      rootFloor(dsl::TensorType{Phi.getDType(), Phi.getShape()});
-  if (Root == Inf)
-    return Inf; // No grammar op can produce Phi's type: no completion.
-  // k distinct tensors require at least k-1 multi-operand joins, at
-  // most one of which is the root already charged above.  Each join's
-  // output carries symbols (or its inputs would not reach Phi), so the
-  // per-node combine floor applies.
-  size_t K = Names.size();
-  if (K >= 2 && CombineFloor == Inf)
-    return Inf; // Nothing in the grammar can combine two tensors.
-  double Extra =
-      K >= 2 ? static_cast<double>(K - 2) * CombineFloor : 0.0;
-  return Root + Extra;
-}
-
-double CostBoundAnalysis::rootFloor(const dsl::TensorType &OutT) const {
-  bool ScalarOut = OutT.TShape.isScalar();
-  double Best = Inf;
-  for (dsl::OpKind K : Ops) {
-    // Ops that cannot have OutT as output only raise the true floor:
-    // Less always yields Bool, and full reductions / trace yield scalars.
-    if (K == dsl::OpKind::Less && OutT.Dtype != DType::Bool)
-      continue;
-    if (!ScalarOut &&
-        (K == dsl::OpKind::Trace || K == dsl::OpKind::SumAll ||
-         K == dsl::OpKind::MaxAll))
-      continue;
-    if (K == dsl::OpKind::Input || K == dsl::OpKind::Constant ||
-        K == dsl::OpKind::Comprehension)
-      continue;
-    Best = std::min(Best, OpFloor(K, OutT));
-  }
-  return Best;
-}
-
-double CostBoundAnalysis::holeObligationFloor(
-    const dsl::TensorType &HoleT,
-    const std::unordered_set<std::string> &PhiTensors,
-    const std::vector<std::string> &ConcreteTensors) const {
-  assert(Sealed && "query before seal()");
-  assert(std::is_sorted(ConcreteTensors.begin(), ConcreteTensors.end()) &&
-         "sketch concrete-tensor lists are kept sorted");
-  // Tensors the spec mentions but the sketch's concrete part does not.
-  // Canonicalization never invents input symbols, so each must flow out
-  // of the hole: the completion's spec mentions all of them.  (The
-  // concrete list is syntactic; symbols it claims may cancel, which only
-  // grows Missing — and the floor is monotone in Missing, so this stays
-  // sound.)
-  size_t Missing = 0;
-  const std::string *Lone = nullptr;
-  for (const std::string &Name : PhiTensors)
-    if (!std::binary_search(ConcreteTensors.begin(), ConcreteTensors.end(),
-                            Name)) {
-      ++Missing;
-      Lone = &Name;
-    }
-  if (Missing == 0)
-    return 0; // The hole may be symbol-free: a constant at cost 0.
-  if (Missing == 1) {
-    // The completion could be the bare missing input itself (cost 0) —
-    // but only if that input's declared type is exactly the hole's type.
-    // Unknown name: stay conservative, assume it could match.
-    auto It = InputTypes.find(*Lone);
-    if (It == InputTypes.end() || It->second == HoleT)
-      return 0;
-    // Otherwise the completion's root is a real op (constants carry no
-    // symbols, and the one admissible leaf is type-incompatible).
-    return rootFloor(HoleT);
-  }
-  // Missing >= 2: the root is a real op, and joining m distinct tensors
-  // takes at least m-1 multi-operand nodes, at most one the root.
-  double Root = rootFloor(HoleT);
-  if (Root == Inf || CombineFloor == Inf)
-    return Inf;
-  return Root + static_cast<double>(Missing - 2) * CombineFloor;
 }

@@ -5,38 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Static lower bounds on the cost of completing a partial sketch, the
-/// analysis that turns the synthesizer's best-cost pruning into genuine
-/// branch-and-bound (DESIGN.md section 14).  Two bounds are computed:
+/// Static lower bound on the cost of completing a sketch's hole, used to
+/// drop library sketches that cannot beat the original program
+/// (DESIGN.md section 14).
 ///
-///  * holeCompletionBound(T, d): the cheapest cost any well-typed tree of
-///    type T reachable within d more sketch nestings can have.  This is a
-///    small fixpoint over the sketch library itself — depth 0 is the
-///    cheapest stub of type T, depth d additionally considers every
-///    sketch whose template has type T, charging its concrete cost plus
-///    the depth-(d-1) floor of its hole type.  +inf means no completion
-///    exists at all, which is itself a sound (and maximally useful)
-///    bound.
+/// holeCompletionBound(T, d) is the cheapest cost any well-typed tree of
+/// type T reachable within d more sketch nestings can have.  It is a
+/// small fixpoint over the sketch library itself — depth 0 is the
+/// cheapest stub of type T, depth d additionally considers every sketch
+/// whose template has type T, charging its concrete cost plus the
+/// depth-(d-1) floor of its hole type.  +inf means no completion exists
+/// at all, which is itself a sound (and maximally useful) bound.
 ///
-///  * specLowerBound(Phi): a floor on the cost of *every* program whose
-///    symbolic spec equals Phi.  A spec that mentions input symbols
-///    cannot be a constant, so its root must be a real operation; the
-///    floor takes the cheapest admissible per-op cost at Phi's output
-///    type (see flopFloorForOutput), plus a combining charge when Phi
-///    mentions k >= 2 distinct input tensors: any tree reading k
-///    distinct tensors contains at least k-1 multi-operand nodes, at
-///    most one of which is the root.
-///
-/// Per-op floors come from the active cost model through a functor, so
-/// this analysis stays below the synth layer in the link order and
-/// degenerates soundly (floor 0 everywhere) for models with no static
-/// story, like the measured model.
-///
-/// Admissibility contract: every bound is <= the model's costOfTree of
+/// Admissibility contract: the bound is <= the model's costOfTree of
 /// every completion the search could enumerate.  The fuzz suite checks
-/// this against the enumerated library (AnalysisTest CostBoundTest);
-/// DESIGN.md section 14 gives the argument, including why pruning on an
-/// admissible bound preserves the determinism contract bit-for-bit.
+/// this against the enumerated library (AnalysisTest CostBoundTest).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,41 +27,18 @@
 #define STENSO_ANALYSIS_COSTBOUND_H
 
 #include "dsl/Node.h"
-#include "symexec/SymTensor.h"
 
-#include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace stenso {
 namespace analysis {
 
-/// Admissible floor on flopCostForOp(Kind, Out, OperandShapes, Attrs)
-/// over every operand shape that can legally produce \p ScaledOut, under
-/// the premise that the op's output carries input symbols (so reduced /
-/// contracted extents are at least 1 — a zero-extent reduction yields
-/// constants, which carry no symbols).  Unknown operand extents are
-/// modeled as the interval [1, +inf) and pushed through the interval
-/// domain, so the floor is the interval's lower endpoint rather than an
-/// ad-hoc constant.
-double flopFloorForOutput(dsl::OpKind Kind, const dsl::TensorType &ScaledOut);
-
-/// The cost-bound analysis.  Construct with the active cost model's
-/// per-op floor oracle and the op grammar, register the enumerated
-/// library (stubs, sketch edges, input bindings), seal(), then query.
+/// The hole-completion fixpoint.  Register the enumerated library (stubs
+/// and sketch edges), seal(), then query.
 class CostBoundAnalysis {
 public:
-  /// Floor on the model's cost of one \p Kind node whose output has the
-  /// given type, admissible under the carries-symbols premise above.
-  /// The type is at *search* shapes; the oracle is responsible for any
-  /// workload scaling, mirroring CostModel::costOfTree.
-  using OpFloorFn =
-      std::function<double(dsl::OpKind, const dsl::TensorType &)>;
-
-  CostBoundAnalysis(OpFloorFn OpFloor, std::vector<dsl::OpKind> Ops);
-
   /// Registers one complete library fragment (stub) of root type \p T
   /// costing \p Cost: a depth-0 completion.
   void addLeafCompletion(const dsl::TensorType &T, double Cost);
@@ -88,10 +48,6 @@ public:
   void addSketchEdge(const dsl::TensorType &TemplateT,
                      const dsl::TensorType &HoleT, double ConcreteCost);
 
-  /// Registers an input binding's spec; a spec equal to it completes as
-  /// that input at cost 0.
-  void addInputSpec(const symexec::SymTensor &Spec);
-
   /// Runs the hole-floor fixpoint for depths 0..\p MaxDepth.  Must be
   /// called once, after registration and before any query.
   void seal(int MaxDepth);
@@ -100,24 +56,6 @@ public:
   /// \p DepthRemaining further sketch nestings; +inf when none exists.
   double holeCompletionBound(const dsl::TensorType &T,
                              int DepthRemaining) const;
-
-  /// Floor on the cost of every program whose spec is \p Phi.
-  double specLowerBound(const symexec::SymTensor &Phi) const;
-
-  /// Floor on the cost of any hole completion of type \p HoleT for a
-  /// sketch matched against a spec mentioning \p PhiTensors when the
-  /// sketch's concrete part mentions only the sorted \p ConcreteTensors:
-  /// the completion's spec must supply every missing tensor's symbols
-  /// (canonicalization never invents symbols), so with m >= 1 missing
-  /// tensors it can be a bare input only when m == 1 and that tensor has
-  /// exactly type HoleT — otherwise its root is a real op, and m >= 2
-  /// adds the same k-1-joins charge as specLowerBound.  Complements
-  /// holeCompletionBound (which is type-only and therefore 0 whenever a
-  /// free input of the hole's type exists); take the max of the two.
-  double
-  holeObligationFloor(const dsl::TensorType &HoleT,
-                      const std::unordered_set<std::string> &PhiTensors,
-                      const std::vector<std::string> &ConcreteTensors) const;
 
 private:
   struct TypeInfo {
@@ -129,24 +67,8 @@ private:
 
   size_t typeIndex(const dsl::TensorType &T);
 
-  /// Cheapest admissible root-op cost for a completion whose output has
-  /// type \p OutT, filtered to ops that can actually produce it; +inf
-  /// when no grammar op can.
-  double rootFloor(const dsl::TensorType &OutT) const;
-
-  OpFloorFn OpFloor;
-  std::vector<dsl::OpKind> Ops;
-  /// Cheapest multi-operand op floor at a (scaled) one-element output;
-  /// +inf when the grammar has no multi-operand op, in which case no
-  /// tree can combine two distinct tensors at all.
-  double CombineFloor;
-
   std::unordered_map<std::string, size_t> TypeIdx;
   std::vector<TypeInfo> Types;
-  std::vector<symexec::SymTensor> InputSpecs;
-  /// Tensor name -> declared type, from the registered input bindings;
-  /// holeObligationFloor's bare-input escape consults it.
-  std::unordered_map<std::string, dsl::TensorType> InputTypes;
   /// FloorAtDepth[d][i]: the sealed fixpoint for type i at depth d.
   std::vector<std::vector<double>> FloorAtDepth;
   bool Sealed = false;

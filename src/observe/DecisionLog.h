@@ -64,10 +64,11 @@ public:
     /// mode during this run (repeated write failures); recorded once at
     /// run end with the search outcome untouched.
     StoreDegraded,
-    /// Admissible static cost-bound cut (analysis/CostBound.h): no
-    /// well-typed completion of the branch can beat the incumbent.
-    /// Appended after StoreDegraded to keep earlier numeric values
-    /// stable.
+    /// Library sketch dropped before the search by the admissible
+    /// static cost bound (analysis/CostBound.h): no well-typed
+    /// completion of it can beat the original program.  Recorded at
+    /// depth 0 with the original cost as the bound.  Appended after
+    /// StoreDegraded to keep earlier numeric values stable.
     PrunedCostBound,
   };
   static const char *toString(Outcome O);

@@ -69,30 +69,19 @@ public:
   /// TargetReadWindow) instead.  The skip state is thread-local, so the
   /// fast path performs no shared-cacheline write at all.  Unlimited
   /// budgets never touch the clock.
-  ///
-  /// Call/read totals are published through getCheckpointCalls() and
-  /// getClockReads(); calls are batched into the shared counter at every
-  /// slow-path visit, so the total lags by at most one skip interval per
-  /// live thread.
   bool checkpoint() {
     TLState &T = tlState();
     if (T.Owner != this || T.OwnerId != Id) {
       // First checkpoint of this budget on this thread (or the slot was
-      // owned by another budget).  Pending counts of the previous owner
-      // are dropped — it may no longer exist.
+      // owned by another budget).
       T.Owner = this;
       T.OwnerId = Id;
       T.SkipsLeft = 0;
       T.LastInterval = 0;
       T.LastElapsed = 0;
-      T.Pending = 0;
     }
-    ++T.Pending;
-    if (latched()) {
-      CheckpointCalls.fetch_add(T.Pending, std::memory_order_relaxed);
-      T.Pending = 0;
+    if (latched())
       return false;
-    }
     if (--T.SkipsLeft > 0)
       return true;
     return checkpointSlow(T);
@@ -156,13 +145,9 @@ public:
   int64_t getSolverCalls() const {
     return SolverCalls.load(std::memory_order_relaxed);
   }
-  /// Total checkpoint() calls observed so far.  Batched: lags the true
-  /// total by at most one skip interval per thread still in its loop.
-  int64_t getCheckpointCalls() const {
-    return CheckpointCalls.load(std::memory_order_relaxed);
-  }
   /// Steady-clock reads performed by checkpoint()/exhausted(); the
-  /// decimation exists to keep this far below getCheckpointCalls().
+  /// decimation exists to keep this far below the number of
+  /// checkpoint() calls.
   int64_t getClockReads() const {
     return ClockReads.load(std::memory_order_relaxed);
   }
@@ -183,7 +168,6 @@ private:
     uint64_t OwnerId = 0;
     int64_t SkipsLeft = 0;
     int64_t LastInterval = 0;
-    int64_t Pending = 0;
     double LastElapsed = 0;
   };
   static TLState &tlState() {
@@ -195,13 +179,11 @@ private:
     return Next.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Flushes the batched call count, reads the clock (wall-limited
-  /// budgets only), and retunes the thread's skip interval.
+  /// Reads the clock (wall-limited budgets only) and retunes the
+  /// thread's skip interval.
   bool checkpointSlow(TLState &T) {
-    CheckpointCalls.fetch_add(T.Pending, std::memory_order_relaxed);
-    T.Pending = 0;
     if (L.WallSeconds <= 0) {
-      // No deadline to miss: only the call-count batching matters.
+      // No deadline to miss: skip the clock for as long as allowed.
       T.SkipsLeft = T.LastInterval = MaxSkipInterval;
       return true;
     }
@@ -254,7 +236,6 @@ private:
   uint64_t Id = nextBudgetId();
   std::atomic<int64_t> SymbolicNodes{0};
   std::atomic<int64_t> SolverCalls{0};
-  std::atomic<int64_t> CheckpointCalls{0};
   std::atomic<int64_t> ClockReads{0};
   /// -1 while the budget holds; otherwise the ErrC of the dimension that
   /// latched first.  One word instead of flag+reason: no ordering hazard.

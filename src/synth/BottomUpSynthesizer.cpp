@@ -49,8 +49,7 @@ void publishBottomUpMetrics(const SynthesisResult &Result) {
       Result.Stats.NumStubs));
   M.counter("bottomup.pruned.error").add(Result.Stats.PrunedByError);
   M.counter("bottomup.pruned.analysis").add(Result.Stats.PrunedByAnalysis);
-  M.counter("bottomup.pruned.costbound")
-      .add(Result.Stats.PrunedByCostBound);
+  M.counter("bottomup.pruned.cost").add(Result.Stats.PrunedByCost);
 }
 
 /// Collects the distinct constants appearing in a program tree.
@@ -202,14 +201,15 @@ SynthesisResult BottomUpSynthesizer::run(const Program &Clamped,
       return;
     }
     double Cost = Model->costOfTree(Root, Scaler);
-    // Cost-bound prune: any program containing this candidate as a
-    // subtree costs at least Cost, so at or above the incumbent it can
-    // neither win the Key == PhiKey test below (strict <) nor seed an
-    // improving deeper program.  BestCost only ever decreases and ties
-    // keep the first find, so the search outcome is unchanged; only the
-    // table contents and the enumeration's truncation point shift.
-    if (Config.UseCostBoundPruning && Cost >= BestCost) {
-      ++Result.Stats.PrunedByCostBound;
+    // Incumbent prune: costs are additive and nonnegative, so any
+    // program containing this candidate as a subtree costs at least
+    // Cost; at or above the incumbent it can neither win the
+    // Key == PhiKey test below (strict <) nor seed an improving deeper
+    // program.  BestCost only ever decreases and ties keep the first
+    // find, so the search outcome is unchanged; only the table contents
+    // and the enumeration's truncation point shift.
+    if (Cost >= BestCost) {
+      ++Result.Stats.PrunedByCost;
       return;
     }
     SpecKey Key{Spec.getShape(), Spec.getDType(), Spec.getElements()};

@@ -38,13 +38,6 @@ struct BottomUpConfig {
   /// enumerated-program count and MaxPrograms consumption change (see
   /// DESIGN.md §10).
   bool UseAnalysisPruning = true;
-  /// Cost-bound prune (the bottom-up analogue of DESIGN.md §14): costs
-  /// are additive and nonnegative, so a candidate at or above the
-  /// incumbent best can neither improve it nor seed a cheaper deeper
-  /// program — it is dropped from the table.  Outcome-preserving; the
-  /// enumerated-program count and MaxPrograms consumption change, as
-  /// with the §10 prunes.
-  bool UseCostBoundPruning = true;
   /// Grammar restriction; empty = SketchLibrary::defaultOps().
   std::vector<dsl::OpKind> Ops;
   /// Opt-in live heartbeat, same contract as SynthesisConfig::Progress:

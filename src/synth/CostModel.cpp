@@ -6,7 +6,6 @@
 
 #include "synth/CostModel.h"
 
-#include "analysis/CostBound.h"
 #include "dsl/FlopCost.h"
 #include "dsl/Interpreter.h"
 #include "support/Error.h"
@@ -76,11 +75,6 @@ double FlopCostModel::costOfOp(const dsl::Node *N,
     OperandShapes.push_back(Scaler.scaleUp(Op->getType().TShape));
   return flopCostForOp(N->getKind(), Scaler.scaleUp(N->getType().TShape),
                        OperandShapes, N->getAttrs());
-}
-
-double FlopCostModel::opCostFloor(dsl::OpKind Kind,
-                                  const dsl::TensorType &ScaledOut) const {
-  return analysis::flopFloorForOutput(Kind, ScaledOut);
 }
 
 //===----------------------------------------------------------------------===//

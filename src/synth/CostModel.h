@@ -75,19 +75,6 @@ public:
   /// Short model name for reports ("flops" / "measured").
   virtual std::string getName() const = 0;
 
-  /// Admissible floor on costOfOp for *any* node of \p Kind whose output
-  /// has the (already Scaler-mapped) type \p ScaledOut and carries input
-  /// symbols — the per-op oracle behind the cost-bound analysis
-  /// (analysis/CostBound.h; DESIGN.md section 14).  Must never exceed
-  /// the true cost of such a node; the default 0 is the sound answer
-  /// for models with no static cost story (the measured model).
-  virtual double opCostFloor(dsl::OpKind Kind,
-                             const dsl::TensorType &ScaledOut) const {
-    (void)Kind;
-    (void)ScaledOut;
-    return 0;
-  }
-
   /// Total cost of the expression tree rooted at \p N (comprehension
   /// bodies charged per trip).
   double costOfTree(const dsl::Node *N, const ShapeScaler &Scaler) const;
@@ -99,8 +86,6 @@ public:
   double costOfOp(const dsl::Node *N,
                   const ShapeScaler &Scaler) const override;
   std::string getName() const override { return "flops"; }
-  double opCostFloor(dsl::OpKind Kind,
-                     const dsl::TensorType &ScaledOut) const override;
 };
 
 /// Measurement-based estimator (the paper's `measured` option): profiles

@@ -131,10 +131,6 @@ public:
   /// The default grammar operation set.
   static std::vector<dsl::OpKind> defaultOps();
 
-  /// The resolved grammar operation set of this library (Config::Ops, or
-  /// the default set when that was left empty).
-  const std::vector<dsl::OpKind> &getOps() const { return Cfg.Ops; }
-
   /// Drops every sketch \p Pred accepts.  Surviving sketches keep their
   /// Index values (the solver cache and the persistent store key on it)
   /// and their relative — ascending-cost — order; the shape index is

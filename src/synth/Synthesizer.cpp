@@ -54,29 +54,16 @@ double synth::specComplexity(const SymTensor &Spec) {
 }
 
 analysis::CostBoundAnalysis
-synth::buildCostBound(const SketchLibrary &Library, const CostModel &Model,
-                      const ShapeScaler &Scaler,
-                      const symexec::SymBinding &Bindings,
+synth::buildCostBound(const SketchLibrary &Library, const CostModel &,
+                      const ShapeScaler &, const symexec::SymBinding &,
                       int MaxRecursionDepth) {
-  // Floors are queried at search (clamped) shapes; map them to the
-  // workload's real extents exactly as costOfOp does, so the bound and
-  // the costs it is compared against share one unit system.
-  analysis::CostBoundAnalysis::OpFloorFn Floors =
-      [&Model, &Scaler](dsl::OpKind K, const dsl::TensorType &T) {
-        return Model.opCostFloor(
-            K, dsl::TensorType{T.Dtype, Scaler.scaleUp(T.TShape)});
-      };
-  analysis::CostBoundAnalysis CB(std::move(Floors), Library.getOps());
+  analysis::CostBoundAnalysis CB;
   for (const Stub &S : Library.getStubs())
     CB.addLeafCompletion(S.Root->getType(), S.Cost);
   for (const Sketch &Sk : Library.getSketches())
     CB.addSketchEdge(
         dsl::TensorType{Sk.Template.getDType(), Sk.Template.getShape()},
         Sk.HoleType, Sk.ConcreteCost);
-  for (const auto &[Name, Spec] : Bindings) {
-    (void)Name;
-    CB.addInputSpec(Spec);
-  }
   CB.seal(MaxRecursionDepth);
   return CB;
 }
@@ -165,18 +152,14 @@ public:
   /// non-null selects the parallel pruning discipline (see prunes()).
   /// \p Progress, when attached, mirrors every tightened incumbent cost
   /// for the heartbeat.  Observation-only: the search never reads it.
-  /// \p CostBound, when attached, enables the admissible static
-  /// cost-bound prune (the caller only passes one when both
-  /// UseBranchAndBound and UseCostBoundPruning are set).
   SearchDriver(const SynthesisConfig &Config, SketchLibrary &Library,
                HoleSolver &Solver, SynthesisStats &Stats,
                ResourceBudget &Budget, Program &Arena,
                std::atomic<double> *SharedBound = nullptr,
-               std::atomic<double> *Progress = nullptr,
-               const analysis::CostBoundAnalysis *CostBound = nullptr)
+               std::atomic<double> *Progress = nullptr)
       : Config(Config), Library(Library), Solver(Solver), Stats(Stats),
         Budget(Budget), Arena(Arena), SharedBound(SharedBound),
-        Progress(Progress), CostBound(CostBound) {}
+        Progress(Progress) {}
 
   struct Candidate {
     const Node *Tree = nullptr;
@@ -217,26 +200,14 @@ public:
     return Best;
   }
 
-  /// Algorithm 2's level prologue: the budget checkpoint, the cost-bound
-  /// entry check, and the stub match (lines 2-8), which seeds \p Best.
+  /// Algorithm 2's level prologue: the budget checkpoint and the stub
+  /// match (lines 2-8), which seeds \p Best.
   /// Returns whether the level's sketches are to be explored.
   bool enterLevel(const SymTensor &Phi, int Level, double CostSoFar,
                   double &CostMin, std::optional<Candidate> &Best) {
     ++Stats.DfsCalls;
     if (!Budget.checkpoint()) {
       decide(-1, Level, bound(CostMin), Decision::BudgetStop);
-      return false;
-    }
-
-    // True branch-and-bound (DESIGN.md §14): a static lower bound on the
-    // cost of *every* well-typed completion of Phi.  When even that floor
-    // cannot beat the incumbent, nothing below this level can — not even
-    // the stub match, whose cost the floor under-approximates (so the
-    // tighten it would have applied is a no-op anyway).
-    if (CostBound &&
-        prunes(CostSoFar + CostBound->specLowerBound(Phi), CostMin)) {
-      ++Stats.PrunedByCostBound;
-      decide(-1, Level, bound(CostMin), Decision::PrunedCostBound);
       return false;
     }
 
@@ -267,7 +238,7 @@ public:
   }
 
   /// One branch of Algorithm 2 (lines 10-22): sketch \p Sk against the
-  /// level \p F.  Runs the cost, cost-bound and oracle prunes, solves the
+  /// level \p F.  Runs the cost and oracle prunes, solves the
   /// hole, applies the simplification prune, recurses into the hole's
   /// spec, and substitutes the result into \p Best when it is cheaper;
   /// every outcome is booked in the stats and the decision log.
@@ -295,24 +266,6 @@ public:
     if (Config.UseBranchAndBound && prunes(CostWithSketch, CostMin)) {
       ++Stats.PrunedByCost;
       Decide(Decision::PrunedCost);
-      return true;
-    }
-
-    // Cost-bound refinement of the check above: the hole still has to
-    // be completed.  Two admissible floors apply — the fixpoint floor
-    // over typed completions reachable at the remaining depth, and the
-    // obligation floor forcing the completion to supply every spec
-    // tensor the concrete part misses (DESIGN.md §14).
-    if (CostBound &&
-        prunes(CostWithSketch +
-                   std::max(CostBound->holeCompletionBound(
-                                Sk.HoleType,
-                                Config.MaxRecursionDepth - F.Level - 1),
-                            CostBound->holeObligationFloor(
-                                Sk.HoleType, F.Tensors, Sk.ConcreteTensors)),
-               CostMin)) {
-      ++Stats.PrunedByCostBound;
-      Decide(Decision::PrunedCostBound);
       return true;
     }
 
@@ -462,7 +415,6 @@ private:
   Program &Arena;
   std::atomic<double> *SharedBound;
   std::atomic<double> *Progress;
-  const analysis::CostBoundAnalysis *CostBound;
   /// Spec-side analyzer (no top symbols: query-spec symbols are the
   /// strictly positive inputs).  Memoizes per interned sym::Expr node,
   /// which is safe across specs — expressions are immutable and live in
@@ -486,7 +438,6 @@ struct ParallelSearch {
   run(const SynthesisConfig &Config, SketchLibrary &Library,
       HoleSolver &Solver, SynthesisStats &Stats, ResourceBudget &Budget,
       const SymTensor &Phi, double OriginalCost,
-      const analysis::CostBoundAnalysis *CostBound = nullptr,
       std::atomic<double> *Progress = nullptr,
       observe::ProgressMonitor *Monitor = nullptr) {
     // The level-0 prologue runs on the calling thread, before any worker
@@ -497,7 +448,7 @@ struct ParallelSearch {
     double CostMin = OriginalCost;
     std::optional<SearchDriver::Candidate> Best;
     SearchDriver Root(Config, Library, Solver, Stats, Budget,
-                      Library.getArena(), nullptr, Progress, CostBound);
+                      Library.getArena(), nullptr, Progress);
     if (!Root.enterLevel(Phi, 0, 0, CostMin, Best))
       return Best;
     std::atomic<double> Bound{CostMin};
@@ -534,7 +485,7 @@ struct ParallelSearch {
       STENSO_TRACE_NAMED_SPAN(BranchSpan, "synth", "branch");
       BranchSpan.arg("sketch", static_cast<int32_t>(Sk.Index));
       SearchDriver Driver(Config, Library, Solver, Out.Stats, Budget,
-                          *Out.Arena, &Bound, Progress, CostBound);
+                          *Out.Arena, &Bound, Progress);
       double LocalMin = CostMin;
       std::optional<analysis::TensorAbstract> PhiSig;
       // The task's candidate slot starts empty, so the branch's own
@@ -608,14 +559,11 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
   STENSO_TRACE_NAMED_SPAN(RunSpan, "synth", "run");
   RunSpan.arg("jobs", Config.Jobs);
   // A caller-provided budget (the harness's suite-global one) replaces
-  // the per-run limits; it may already be partially consumed.  Snapshot
-  // its counters so a shared budget reports per-run deltas in the stats.
+  // the per-run limits; it may already be partially consumed.
   ResourceBudget LocalBudget(ResourceBudget::Limits{
       Config.TimeoutSeconds, Config.MaxSymbolicNodes, Config.MaxSolverCalls});
   ResourceBudget &Budget =
       Config.SharedBudget ? *Config.SharedBudget : LocalBudget;
-  int64_t CheckpointCalls0 = Budget.getCheckpointCalls();
-  int64_t ClockReads0 = Budget.getClockReads();
   SynthesisResult Result;
   Result.OptimizedSource = printProgram(Clamped);
 
@@ -674,22 +622,19 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
   Result.Stats.AnalysisPrunedShape = Library.getNumShapePruned();
   Result.Stats.PrunedByAnalysis += Result.Stats.AnalysisPrunedShape;
 
-  // Admissible static cost-bound analysis (analysis/CostBound.h;
-  // DESIGN.md §14): built over the full library, then used twice —
-  // here, to drop sketches no completion of which can beat the original
+  // Admissible static cost bound (analysis/CostBound.h; DESIGN.md §14):
+  // drop the sketches no completion of which can beat the original
   // program (at any level: the floor at the full remaining depth is the
-  // smallest, hence valid everywhere), and during the search, to bound
-  // partial chains against the shared incumbent.  NumSketches keeps the
-  // enumerated count; the drops are booked as cost-bound prunes.
-  std::optional<analysis::CostBoundAnalysis> CostBound;
-  if (Config.UseBranchAndBound && Config.UseCostBoundPruning) {
+  // smallest, hence valid everywhere).  NumSketches keeps the enumerated
+  // count; the drops are booked as cost-bound prunes.
+  if (Config.UseBranchAndBound) {
     STENSO_TRACE_NAMED_SPAN(CbSpan, "synth", "costbound");
-    CostBound.emplace(buildCostBound(Library, *Model, Scaler, Bindings,
-                                     Config.MaxRecursionDepth));
+    analysis::CostBoundAnalysis CostBound = buildCostBound(
+        Library, *Model, Scaler, Bindings, Config.MaxRecursionDepth);
     double Original = Result.OriginalCost;
     size_t Dropped = Library.removeSketchesIf([&](const Sketch &Sk) {
-      double Floor = CostBound->holeCompletionBound(Sk.HoleType,
-                                                    Config.MaxRecursionDepth);
+      double Floor = CostBound.holeCompletionBound(Sk.HoleType,
+                                                   Config.MaxRecursionDepth);
       if (Sk.ConcreteCost + Floor < Original)
         return false;
       ++Result.Stats.PrunedByCostBound;
@@ -753,14 +698,12 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
     if (Config.Jobs == 1) {
       SearchDriver Driver(Config, Library, Solver, Result.Stats, Budget,
                           Library.getArena(), nullptr,
-                          Monitor ? &ProgressCost : nullptr,
-                          CostBound ? &*CostBound : nullptr);
+                          Monitor ? &ProgressCost : nullptr);
       double CostMin = Result.OriginalCost;
       Best = Driver.dfs(*Phi, 0, 0, CostMin);
     } else {
       Best = Parallel.run(Config, Library, Solver, Result.Stats, Budget, *Phi,
                           Result.OriginalCost,
-                          CostBound ? &*CostBound : nullptr,
                           Monitor ? &ProgressCost : nullptr,
                           Monitor);
     }
@@ -774,8 +717,6 @@ SynthesisResult Synthesizer::run(const Program &Clamped,
       static_cast<int64_t>(Ctx.getNumInternedNodes());
   Result.Stats.InternLookups = Ctx.getInternLookups();
   Result.Stats.InternHits = Ctx.getInternHits();
-  Result.Stats.CheckpointCalls = Budget.getCheckpointCalls() - CheckpointCalls0;
-  Result.Stats.CheckpointClockReads = Budget.getClockReads() - ClockReads0;
   Result.SynthesisSeconds = Timer.elapsedSeconds();
 
   // Algorithm 1, lines 7-10: accept only strict improvements.

@@ -42,7 +42,11 @@ namespace synth {
 struct SynthesisConfig {
   /// "flops" or "measured" (paper Section VI-C uses measured).
   std::string CostModelName = "flops";
-  /// Disable for the simplification-only ablation of Fig. 5.
+  /// Disable for the simplification-only ablation of Fig. 5.  Gates
+  /// both the incumbent prune during the search (Algorithm 2, line 16)
+  /// and the library-build drop of sketches whose admissible cost floor
+  /// cannot beat the original program (analysis/CostBound.h; DESIGN.md
+  /// §14).
   bool UseBranchAndBound = true;
   /// The static analysis oracle (analysis/PruningOracle.h): shape
   /// reachability at library build plus sign/degree disjointness before
@@ -52,15 +56,6 @@ struct SynthesisConfig {
   /// §10 for the argument and the budget-boundary caveats).  Escape
   /// hatch: stenso-opt --no-analysis-pruning.
   bool UseAnalysisPruning = true;
-  /// Admissible static cost-bound pruning (analysis/CostBound.h): a
-  /// lower bound on the cost of every well-typed completion of a partial
-  /// sketch, checked against the best complete program found so far —
-  /// true branch-and-bound rather than cost-so-far pruning alone.
-  /// Admissible, so the synthesized program, cost, and AbortReason are
-  /// identical with it on or off (DESIGN.md §14 for the argument).
-  /// Only active when UseBranchAndBound is also set.  Escape hatch:
-  /// stenso-opt --no-cost-bound-pruning.
-  bool UseCostBoundPruning = true;
   /// Wall-clock budget; <= 0 means unlimited.  The paper's evaluation
   /// uses 600 s.
   double TimeoutSeconds = 600;
@@ -119,8 +114,8 @@ struct SynthesisStats {
   int64_t DfsCalls = 0;
   int64_t SketchesExplored = 0;
   int64_t PrunedByCost = 0;
-  /// Branches (and library sketches) cut by the admissible static
-  /// cost-bound analysis (analysis/CostBound.h; DESIGN.md §14).
+  /// Library sketches dropped at build time by the admissible static
+  /// cost bound (analysis/CostBound.h; DESIGN.md §14).
   int64_t PrunedByCostBound = 0;
   int64_t PrunedBySimplification = 0;
   /// Candidate branches abandoned because evaluation raised a
@@ -148,10 +143,6 @@ struct SynthesisStats {
   int64_t InternedNodes = 0;
   int64_t InternLookups = 0;
   int64_t InternHits = 0;
-  /// Budget checkpoints and how many actually read the steady clock
-  /// (the decimation keeps reads far below calls; see Budget.h).
-  int64_t CheckpointCalls = 0;
-  int64_t CheckpointClockReads = 0;
   /// Persistent-store traffic (zero when no store is attached): verified
   /// warm answers served (full solves avoided), records rejected by
   /// decode/re-verification, and results written behind.
@@ -204,10 +195,6 @@ inline constexpr StatsField StatsFields[] = {
     {&SynthesisStats::InternLookups, "intern_lookups",
      "exprctx.intern_lookups"},
     {&SynthesisStats::InternHits, "intern_hits", "exprctx.intern_hits"},
-    {&SynthesisStats::CheckpointCalls, "checkpoint_calls",
-     "budget.checkpoint.calls"},
-    {&SynthesisStats::CheckpointClockReads, "checkpoint_clock_reads",
-     "budget.checkpoint.clock_reads"},
     {&SynthesisStats::StoreHits, "store_hits", "synth.store.hits"},
     {&SynthesisStats::StoreRejected, "store_rejected",
      "synth.store.rejected"},
@@ -274,15 +261,13 @@ private:
 double specComplexity(const symexec::SymTensor &Spec);
 
 /// Builds and seals the admissible cost-bound analysis for \p Library:
-/// stubs become leaf completions, sketches become fixpoint edges, the
-/// run's input bindings become free completions, and per-op floors come
-/// from Model.opCostFloor at Scaler-mapped shapes.  Exposed so tests and
-/// benches exercise exactly the production construction.  The returned
-/// analysis captures \p Model and \p Scaler by reference — both must
-/// outlive it.
+/// stubs become leaf completions and sketches become fixpoint edges.
+/// Exposed so tests and benches exercise exactly the production
+/// construction.  The model, scaler and bindings are unused; perfbench's
+/// layer probe still calls this signature (ROADMAP item 10).
 analysis::CostBoundAnalysis
-buildCostBound(const SketchLibrary &Library, const CostModel &Model,
-               const ShapeScaler &Scaler, const symexec::SymBinding &Bindings,
+buildCostBound(const SketchLibrary &Library, const CostModel &,
+               const ShapeScaler &, const symexec::SymBinding &,
                int MaxRecursionDepth);
 
 /// The determinism contract's equality: two runs agree when they found

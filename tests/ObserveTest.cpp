@@ -439,11 +439,6 @@ TEST(ObserveTest, CheckpointDecimationKeepsClockReadsFarBelowCalls) {
   // the contract without making the test timing-sensitive.
   EXPECT_LT(Budget.getClockReads(), Calls / 8);
   EXPECT_GT(Budget.getClockReads(), 0);
-  // Call accounting is batched but bounded: it lags by at most one skip
-  // interval for the thread still in its loop.
-  EXPECT_LE(Budget.getCheckpointCalls(), Calls);
-  EXPECT_GE(Budget.getCheckpointCalls(),
-            Calls - ResourceBudget::MaxSkipInterval);
 }
 
 TEST(ObserveTest, FirstCheckpointOnAThreadIsDecisive) {

@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 using namespace stenso;
 using namespace stenso::dsl;
 using namespace stenso::evalsuite;
@@ -138,6 +140,23 @@ TEST(ParallelSynthTest, EverySolverSuccessIsPrunedOrExplored) {
               R.Stats.PrunedBySimplification + R.Stats.SketchesExplored)
         << "jobs=" << Jobs;
   }
+}
+
+TEST(SequentialStatsTest, StatsJsonRepeatsByteForByte) {
+  // Every --stats-json counter is a pure function of the search at
+  // jobs=1, so two runs differ only in their wall time.  common_factor
+  // runs long enough for the budget's clock-adaptive checkpoint skipping
+  // to kick in, which once leaked into the counters.
+  std::string Json[2];
+  for (std::string &Out : Json) {
+    SynthesisResult R = runBenchmark("common_factor", /*Jobs=*/1);
+    ASSERT_EQ(R.Abort, AbortReason::None);
+    R.SynthesisSeconds = 0;
+    std::ostringstream OS;
+    writeStatsJson(R, OS);
+    Out = OS.str();
+  }
+  EXPECT_EQ(Json[0], Json[1]);
 }
 
 TEST(ParallelSynthTest, LiveTelemetryDoesNotPerturbTheSearch) {

@@ -123,12 +123,6 @@ SPEC = {
         ("warm_wall_seconds", "time", 1.5, 3.0),
         ("recovery_seconds", "time", 2.0, 4.0),
     ],
-    "BENCH_cost_bound": [
-        ("differential_mismatches", "contract", None, None),
-        ("sketches_cut_positive", "contract", None, None),
-        ("solver_calls_avoided_positive", "contract", None, None),
-        ("runs.2.wall_seconds", "time", 1.5, 3.0),
-    ],
 }
 
 

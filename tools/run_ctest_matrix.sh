@@ -90,14 +90,13 @@ run_lint() {
 # release matrix tree (reusing it when the release leg already built it)
 # and compare the fresh BENCH_*.json against the checked-in baselines.
 # Beyond the observability pair this covers the differential benches:
-# analysis pruning, the persistent store, and the cost-bound
-# branch-and-bound floor — each embeds a result-identity contract the
-# gate enforces.  check_bench_regression.sh returns 77 when python3 is
+# analysis pruning and the persistent store — each embeds a
+# result-identity contract the gate enforces.  check_bench_regression.sh returns 77 when python3 is
 # missing; that propagates as a SKIP.
 run_bench_regression() {
   local BUILD_DIR="build-matrix-release"
   local TARGETS=(bench_observe_overhead bench_report bench_analysis_pruning
-                 bench_persist bench_cost_bound)
+                 bench_persist)
   echo "=== [bench-regression] configure + build ==="
   cmake -B "${BUILD_DIR}" -S . || return 1
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target "${TARGETS[@]}" \
@@ -109,8 +108,7 @@ run_bench_regression() {
   done
   echo "=== [bench-regression] compare against baselines ==="
   tools/check_bench_regression.sh --fresh-dir "${BUILD_DIR}/bench" \
-      BENCH_observe BENCH_report BENCH_analysis_pruning BENCH_persist \
-      BENCH_cost_bound
+      BENCH_observe BENCH_report BENCH_analysis_pruning BENCH_persist
 }
 
 run_config() {

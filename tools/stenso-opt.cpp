@@ -72,10 +72,6 @@ void printUsage(std::ostream &OS) {
         "  --no-analysis-pruning   disable the static analysis oracle\n"
         "                          (escape hatch; the oracle is sound, so\n"
         "                          the result is identical either way)\n"
-        "  --no-cost-bound-pruning disable the admissible static cost\n"
-        "                          bound (escape hatch; the bound is\n"
-        "                          admissible, so the result is identical\n"
-        "                          either way)\n"
         "  --stats                 print search statistics\n"
         "  --stats-json FILE       write statistics + outcome as JSON\n"
         "  --trace FILE            record a Chrome/Perfetto trace_event\n"
@@ -156,8 +152,6 @@ int main(int Argc, char **Argv) {
       Config.UseBranchAndBound = false;
     else if (Arg == "--no-analysis-pruning")
       Config.UseAnalysisPruning = false;
-    else if (Arg == "--no-cost-bound-pruning")
-      Config.UseCostBoundPruning = false;
     else if (Arg == "--rules_out")
       RulesOutPath = Value();
     else if (Arg == "--rules_in")
@@ -354,8 +348,7 @@ int main(int Argc, char **Argv) {
               << S.SolverCacheMisses << "/" << S.SolverCacheEvictions
               << " intern nodes=" << S.InternedNodes
               << " hit/lookup=" << S.InternHits << "/" << S.InternLookups
-              << " checkpoint calls/reads=" << S.CheckpointCalls << "/"
-              << S.CheckpointClockReads << "\n";
+              << "\n";
   }
   if (!StatsJsonPath.empty()) {
     std::ofstream StatsOut(StatsJsonPath);
